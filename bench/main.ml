@@ -26,15 +26,13 @@
                       "evals_per_s": float }, ...
                     (* eval-throughput rows additionally carry *)
                     { "target": "eval-throughput", "backend": str,
-                      "mode": "pool"|"spawn",
                       "shared_residues": "cold"|"warm", ... } ],
        "serve_latency":
                   [ { "kernel": str, "n": int, "phase": "cold"|"warm",
                       "requests": int, "p50_ms": float, "p95_ms": float,
                       "wall_s": float }, ... ],
        "serve_fanout":
-                  [ { "topology": "single"|"router+2"|"router+4",
-                      "phase": "cold"|"warm"|"coalesce"|"failover",
+                  [ { "phase": "cold"|"warm"|"coalesce",
                       "clients": int, "requests": int, "p50_ms": float,
                       "p95_ms": float, "coalesce_hits": int,
                       "wall_s": float }, ... ] }
@@ -120,7 +118,6 @@ let json_of_eval_row (r : Experiments.eval_row) =
       ("n", Int r.Experiments.e_size);
       ("cache_size", Int r.Experiments.e_cache_size);
       ("backend", String r.Experiments.e_backend);
-      ("mode", String r.Experiments.e_mode);
       ("shared_residues", String r.Experiments.e_residues);
       ("domains", Int r.Experiments.e_domains);
       ("evals", Int r.Experiments.e_evals);

@@ -228,29 +228,22 @@ let run_telemetry () =
   if Sys.file_exists store then Sys.remove store;
   if Sys.file_exists sock then Sys.remove sock
 
-(* serve-fanout: the PR-10 fleet under concurrent clients.
+(* serve-fanout: one daemon under concurrent clients.
 
-   Three topologies — one daemon, a router over two workers and (full
-   mode) a router over four — each take the same load: N client
-   connections issuing tile requests concurrently.  Phases per topology:
-   store-cold (distinct seeds), store-warm (the same seeds again,
-   answered out of the shared store), and coalesce (every client sends
-   the {e same} request at once, so the fleet must evaluate it exactly
-   once).  In full mode the router topologies add a failover phase that
-   SIGKILLs one worker mid-stream; every request must still answer.
-   Rows land in BENCH_results.json under "serve_fanout"; the headline
-   check is router+2 warm p50 within 2x of the single daemon's. *)
-
-module Router = Tiling_fleet.Router
+   N client connections issue tile requests concurrently against an
+   in-process daemon, in three phases: store-cold (distinct seeds),
+   store-warm (the same seeds again, answered out of the store), and
+   coalesce (every client sends the {e same} request at once, so the
+   scheduler must evaluate it exactly once).  Rows land in
+   BENCH_results.json under "serve_fanout". *)
 
 type fan_row = {
-  f_topology : string; (* "single" | "router+2" | "router+4" *)
-  f_phase : string; (* "cold" | "warm" | "coalesce" | "failover" *)
+  f_phase : string; (* "cold" | "warm" | "coalesce" *)
   f_clients : int;
   f_requests : int; (* total across all clients *)
   f_p50_ms : float;
   f_p95_ms : float;
-  f_coalesce_hits : int; (* fleet-wide shared answers during the phase *)
+  f_coalesce_hits : int; (* requests answered by a shared evaluation *)
   f_wall_s : float;
 }
 
@@ -259,7 +252,6 @@ let fanout_rows : fan_row list ref = ref []
 let json_of_fan_row r =
   Json.Obj
     [
-      ("topology", Json.String r.f_topology);
       ("phase", Json.String r.f_phase);
       ("clients", Json.Int r.f_clients);
       ("requests", Json.Int r.f_requests);
@@ -268,24 +260,6 @@ let json_of_fan_row r =
       ("coalesce_hits", Json.Int r.f_coalesce_hits);
       ("wall_s", Json.Float r.f_wall_s);
     ]
-
-let tiler_exe =
-  Filename.concat (Filename.dirname Sys.executable_name) "../bin/tiler.exe"
-
-let spawn_worker ~sock ~store =
-  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close null)
-    (fun () ->
-      Unix.create_process tiler_exe
-        [|
-          tiler_exe; "serve";
-          "--socket"; "unix:" ^ sock;
-          "--store"; store;
-          "--workers"; "2";
-          "--queue"; "64";
-        |]
-        Unix.stdin null null)
 
 let connect sock =
   match Client.connect (Netio.Unix_sock sock) with
@@ -302,100 +276,40 @@ let await_socket sock =
   in
   await 200
 
-(* Run [f front pids] with the topology up: [workers = 0] is the plain
-   in-process daemon, otherwise [workers] tiler subprocesses behind an
-   in-process router.  [f] gets the front socket plus the worker pids
-   (for the failover phase); teardown drains the whole tree. *)
-let with_topology ~workers f =
-  let store = temp_path ".store" in
-  let rm_store () =
-    if Sys.file_exists store then Sys.remove store;
-    if Sys.file_exists (store ^ ".lock") then Sys.remove (store ^ ".lock")
+(* Run [f sock] against a fresh in-process daemon with its own store;
+   teardown drains it and removes the socket and store files. *)
+let with_daemon f =
+  let store = temp_path ".store" and sock = temp_path ".sock" in
+  let cfg =
+    {
+      Server.default_config with
+      addr = Netio.Unix_sock sock;
+      store_path = Some store;
+      workers = 2;
+      capacity = 256;
+    }
   in
-  if workers = 0 then begin
-    let sock = temp_path ".sock" in
-    let cfg =
-      {
-        Server.default_config with
-        addr = Netio.Unix_sock sock;
-        store_path = Some store;
-        workers = 2;
-        capacity = 256;
-      }
-    in
-    let server = Thread.create (fun () -> ignore (Server.run cfg)) () in
-    await_socket sock;
-    Fun.protect
-      ~finally:(fun () ->
-        Thread.join server;
-        rm_store ();
-        if Sys.file_exists sock then Sys.remove sock)
-      (fun () ->
-        f sock [||];
-        let c = connect sock in
-        ignore (Client.call c ~meth:"shutdown" ~params:[]);
-        Client.close c)
-  end
-  else begin
-    if not (Sys.file_exists tiler_exe) then
-      failwith ("serve-fanout needs " ^ tiler_exe ^ "; run dune build first");
-    let wsocks =
-      Array.init workers (fun i -> temp_path (Fmt.str ".w%d.sock" i))
-    in
-    let pids = Array.map (fun sock -> spawn_worker ~sock ~store) wsocks in
-    let rsock = temp_path ".router.sock" in
-    Array.iter await_socket wsocks;
-    let router =
-      Thread.create
-        (fun () ->
-          match
-            Router.run
-              {
-                Router.addr = Netio.Unix_sock rsock;
-                workers =
-                  Array.to_list (Array.map (fun s -> Netio.Unix_sock s) wsocks);
-                health_period_s = 2.0;
-                io_timeout_s = 2.0;
-                max_line_bytes = 1 lsl 20;
-                metrics_addr = None;
-              }
-          with
-          | Ok () -> ()
-          | Error m -> Fmt.epr "router: %s@." m)
-        ()
-    in
-    await_socket rsock;
-    let reap pid =
-      try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Array.iter
-          (fun pid ->
-            try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-          pids;
-        Array.iter reap pids;
-        Thread.join router;
-        rm_store ();
-        Array.iter (fun s -> if Sys.file_exists s then Sys.remove s) wsocks;
-        if Sys.file_exists rsock then Sys.remove rsock)
-      (fun () ->
-        f rsock pids;
-        let c = connect rsock in
-        ignore (Client.call c ~meth:"shutdown" ~params:[]);
-        Client.close c)
-  end
+  let server = Thread.create (fun () -> ignore (Server.run cfg)) () in
+  await_socket sock;
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.join server;
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ store; store ^ ".lock"; sock ])
+    (fun () ->
+      f sock;
+      let c = connect sock in
+      ignore (Client.call c ~meth:"shutdown" ~params:[]);
+      Client.close c)
 
 let run_fanout () =
-  Fmt.pr "@.== serve-fanout: concurrent clients, one daemon vs a fleet ==@.";
+  Fmt.pr "@.== serve-fanout: concurrent clients against one daemon ==@.";
   let quick = Experiments.bench_quick () in
   let clients = if quick then 4 else 8 in
   let per_client = if quick then 2 else 4 in
   let n = if quick then 12 else 24 in
-  let warm_p50 : (string, float) Hashtbl.t = Hashtbl.create 4 in
   let coalesced_total sock =
-    (* requests.coalesced from whoever fronts the topology: the daemon's
-       scheduler counter or the router's shared-forward counter *)
     let c = connect sock in
     let v =
       match Client.call c ~meth:"stats" ~params:[] with
@@ -414,7 +328,7 @@ let run_fanout () =
     Client.close c;
     v
   in
-  let measure ~topology ~phase ~sock ~seed_of ~requests_per_client () =
+  let measure ~phase ~sock ~seed_of ~requests_per_client () =
     let before = coalesced_total sock in
     let lats = Array.make (clients * requests_per_client) 0. in
     let t0 = Unix.gettimeofday () in
@@ -449,13 +363,10 @@ let run_fanout () =
     let hits = max 0 (coalesced_total sock - before) in
     Array.sort compare lats;
     let p50 = percentile lats 50 and p95 = percentile lats 95 in
-    Fmt.pr
-      "%-9s %-8s %d clients x %d  p50 %8.1f ms  p95 %8.1f ms  shared %d@."
-      topology phase clients requests_per_client p50 p95 hits;
-    if phase = "warm" then Hashtbl.replace warm_p50 topology p50;
+    Fmt.pr "%-8s %d clients x %d  p50 %8.1f ms  p95 %8.1f ms  shared %d@."
+      phase clients requests_per_client p50 p95 hits;
     fanout_rows :=
       {
-        f_topology = topology;
         f_phase = phase;
         f_clients = clients;
         f_requests = clients * requests_per_client;
@@ -466,43 +377,17 @@ let run_fanout () =
       }
       :: !fanout_rows
   in
-  let topo_phases topology sock (pids : int array) =
-    (* distinct seeds per (client, slot): every evaluation is fresh *)
-    measure ~topology ~phase:"cold" ~sock
-      ~seed_of:(fun c i -> 1000 + (c * per_client) + i)
-      ~requests_per_client:per_client ();
-    (* the same seeds again: answered out of the shared store *)
-    measure ~topology ~phase:"warm" ~sock
-      ~seed_of:(fun c i -> 1000 + (c * per_client) + i)
-      ~requests_per_client:per_client ();
-    (* every client asks for the same fresh search at once: the fleet
-       must evaluate once and share the answer *)
-    measure ~topology ~phase:"coalesce" ~sock
-      ~seed_of:(fun _ _ -> 777777)
-      ~requests_per_client:1 ();
-    if (not quick) && Array.length pids > 0 then begin
-      (* fresh seeds again, and one worker dies mid-stream: the router
-         must re-home its keys with no client-visible error *)
-      let killer =
-        Thread.create
-          (fun () ->
-            Thread.delay 0.2;
-            try Unix.kill pids.(0) Sys.sigkill with Unix.Unix_error _ -> ())
-          ()
-      in
-      measure ~topology ~phase:"failover" ~sock
-        ~seed_of:(fun c i -> 5000 + (c * per_client) + i)
+  with_daemon (fun sock ->
+      (* distinct seeds per (client, slot): every evaluation is fresh *)
+      measure ~phase:"cold" ~sock
+        ~seed_of:(fun c i -> 1000 + (c * per_client) + i)
         ~requests_per_client:per_client ();
-      Thread.join killer
-    end
-  in
-  with_topology ~workers:0 (topo_phases "single");
-  with_topology ~workers:2 (topo_phases "router+2");
-  if not quick then with_topology ~workers:4 (topo_phases "router+4");
-  match
-    (Hashtbl.find_opt warm_p50 "single", Hashtbl.find_opt warm_p50 "router+2")
-  with
-  | Some s, Some r when s > 0. ->
-      Fmt.pr "router+2 warm p50 / single warm p50 = %.2fx (target <= 2x)@."
-        (r /. s)
-  | _ -> ()
+      (* the same seeds again: answered out of the store *)
+      measure ~phase:"warm" ~sock
+        ~seed_of:(fun c i -> 1000 + (c * per_client) + i)
+        ~requests_per_client:per_client ();
+      (* every client asks for the same fresh search at once: the daemon
+         must evaluate once and share the answer *)
+      measure ~phase:"coalesce" ~sock
+        ~seed_of:(fun _ _ -> 777777)
+        ~requests_per_client:1 ())

@@ -838,30 +838,8 @@ let serve_cmd =
     Arg.(
       value & opt (some string) None & info [ "events-out" ] ~docv:"FILE" ~doc)
   in
-  let router_arg =
-    let doc =
-      "Run as a fleet router instead of a worker daemon: shard searching \
-       requests across the $(b,--worker) daemons by fingerprint hash, \
-       coalesce identical in-flight requests, fail crashed workers over \
-       to the next live node (see docs/SERVER.md, Fleet mode).  Ignores \
-       the evaluation flags ($(b,--workers), $(b,--queue), $(b,--store), \
-       $(b,--deadline), $(b,--domains))."
-    in
-    Arg.(value & flag & info [ "router" ] ~doc)
-  in
-  let worker_addr_arg =
-    let doc =
-      "Worker daemon address for $(b,--router) mode (repeatable): \
-       $(b,unix:PATH), $(b,tcp:HOST:PORT) or $(b,HOST:PORT)."
-    in
-    Arg.(value & opt_all string [] & info [ "worker" ] ~docv:"ADDR" ~doc)
-  in
-  let health_period_arg =
-    let doc = "Seconds between worker health sweeps in $(b,--router) mode." in
-    Arg.(value & opt float 2.0 & info [ "health-period" ] ~docv:"SEC" ~doc)
-  in
   let run socket workers queue store deadline max_line metrics_addr events_out
-      router worker_addrs health_period domains obs =
+      domains obs =
     match resolve_addr socket with
     | Error m -> `Error (false, m)
     | Ok addr -> (
@@ -890,50 +868,26 @@ let serve_cmd =
                 | Ok () -> ()
                 | Error m ->
                     Fmt.epr "tiler: cannot open events sink: %s@." m));
+            let store_path =
+              match store with
+              | Some _ -> store
+              | None -> (
+                  match Sys.getenv_opt "TILING_STORE" with
+                  | Some s when String.trim s <> "" -> Some s
+                  | _ -> None)
+            in
             let r =
-              if router then begin
-                let rec addrs_of = function
-                  | [] -> Ok []
-                  | s :: rest ->
-                      Result.bind (Tiling_util.Netio.addr_of_string s)
-                        (fun a -> Result.map (fun r -> a :: r) (addrs_of rest))
-                in
-                match addrs_of worker_addrs with
-                | Error m -> Error m
-                | Ok [] ->
-                    Error "serve --router needs at least one --worker ADDR"
-                | Ok worker_addrs ->
-                    Tiling_fleet.Router.run
-                      {
-                        Tiling_fleet.Router.addr;
-                        workers = worker_addrs;
-                        health_period_s = health_period;
-                        io_timeout_s = 2.0;
-                        max_line_bytes = max_line;
-                        metrics_addr;
-                      }
-              end
-              else begin
-                let store_path =
-                  match store with
-                  | Some _ -> store
-                  | None -> (
-                      match Sys.getenv_opt "TILING_STORE" with
-                      | Some s when String.trim s <> "" -> Some s
-                      | _ -> None)
-                in
-                Tiling_server.Server.run
-                  {
-                    Tiling_server.Server.addr;
-                    workers;
-                    capacity = queue;
-                    store_path;
-                    default_deadline_s = deadline;
-                    domains;
-                    max_line_bytes = max_line;
-                    metrics_addr;
-                  }
-              end
+              Tiling_server.Server.run
+                {
+                  Tiling_server.Server.addr;
+                  workers;
+                  capacity = queue;
+                  store_path;
+                  default_deadline_s = deadline;
+                  domains;
+                  max_line_bytes = max_line;
+                  metrics_addr;
+                }
             in
             Tiling_obs.Events.close_sink ();
             Option.iter
@@ -951,13 +905,11 @@ let serve_cmd =
        ~doc:
          "Run the tiling daemon: newline-delimited JSON requests over a \
           Unix or TCP socket, with admission control and a persistent \
-          result store — or, with $(b,--router), the fleet router in \
-          front of a set of such daemons (see docs/SERVER.md)")
+          result store (see docs/SERVER.md)")
     Term.(
       ret
         (const run $ socket_arg $ workers_arg $ queue_arg $ store_arg
        $ deadline_arg $ max_line_arg $ metrics_addr_arg $ events_out_arg
-       $ router_arg $ worker_addr_arg $ health_period_arg
        $ domains_arg $ obs_term))
 
 (* --- `request --trace` flame summary ------------------------------- *)
@@ -1127,7 +1079,7 @@ let request_cmd =
         let on_progress =
           if progress then Some print_progress_event else None
         in
-        let backoff = Tiling_fleet.Backoff.create () in
+        let backoff = Tiling_server.Backoff.create () in
         let connect () =
           match Tiling_server.Client.connect addr with
           | Error m ->
@@ -1138,7 +1090,7 @@ let request_cmd =
           | Ok client -> client
         in
         let sleep_before_retry ?hint ~why used =
-          let delay = Tiling_fleet.Backoff.next ?hint backoff in
+          let delay = Tiling_server.Backoff.next ?hint backoff in
           Fmt.epr "tiler: %s; retrying in %.1fs (%d/%d)@." why delay used
             retries;
           Unix.sleepf delay

@@ -76,17 +76,10 @@ let inventory =
     ("server.store.misses", "Store lookups that missed");
     ("server.store.records", "Records in the store file (including superseded)");
     ("server.store.refreshes", "Store reconciliations with the shared log");
-    (* fleet.* — coalescing, router, worker health (docs/SERVER.md) *)
+    (* fleet.* — scheduler coalescing of identical in-flight requests
+       (docs/SERVER.md); the prefix is kept because scripts grep it *)
     ("fleet.coalesce.hits", "Requests attached to an identical in-flight request");
     ("fleet.coalesce.waiters", "Requests currently waiting on a coalesced evaluation");
-    ("fleet.health.checks", "Worker health probes performed by the router");
-    ("fleet.health.failures", "Worker health probes or forwards that failed");
-    ("fleet.router.backpressure", "Worker overloaded/draining responses relayed upstream");
-    ("fleet.router.failed", "Requests that exhausted every worker");
-    ("fleet.router.forwarded", "Requests forwarded to a worker and answered");
-    ("fleet.router.requests", "Requests received by the router");
-    ("fleet.router.retries", "Failovers to the next worker after a transport failure");
-    ("fleet.workers.up", "Workers currently passing health checks");
   ]
 
 let help_of name =

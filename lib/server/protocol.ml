@@ -63,9 +63,9 @@ let request_of_json j =
   | _ -> Error (err Bad_request "request must be a JSON object")
 
 (* [coalesced] marks every member of a request group that shared one
-   evaluation (docs/SERVER.md "Fleet mode"): the flag sits between
-   [status] and the payload so the envelopes of all members stay
-   byte-identical modulo [id]. *)
+   evaluation (docs/SERVER.md "Coalescing and shared stores"): the flag
+   sits between [status] and the payload so the envelopes of all members
+   stay byte-identical modulo [id]. *)
 let coalesced_field coalesced =
   if coalesced then [ ("coalesced", Json.Bool true) ] else []
 

@@ -63,7 +63,7 @@ val ok_response :
     (default false) adds ["coalesced": true] between [status] and
     [result]: the request shared one evaluation with concurrent identical
     requests, so every envelope of the group is byte-identical modulo
-    [id] (docs/SERVER.md "Fleet mode"). *)
+    [id] (docs/SERVER.md "Coalescing and shared stores"). *)
 
 val progress_response :
   id:Tiling_obs.Json.t -> Tiling_obs.Json.t -> Tiling_obs.Json.t

@@ -20,7 +20,8 @@
     [Deadline_exceeded] wire error.  A job whose deadline passed while it
     was still queued is failed without running at all.
 
-    In-flight coalescing (docs/SERVER.md "Fleet mode"): a request
+    In-flight coalescing (docs/SERVER.md "Coalescing and shared
+    stores"): a request
     submitted with a [key] — the {!Store.fingerprint} of a searching
     request — attaches as a {e waiter} to an already queued or running
     job with the same key instead of consuming a queue slot.  The group

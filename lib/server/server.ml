@@ -138,8 +138,8 @@ let attach st ~fingerprint ~cancelled eval =
     st.store
 
 (* Fold appends from other daemons sharing this store file into our
-   tables before a search starts, so a fleet worker answers a repeat
-   search warm even when a sibling process computed it. *)
+   tables before a search starts, so a repeat search is answered warm
+   even when another process computed it. *)
 let refresh_store st = Option.iter Store.refresh st.store
 
 (* Per-phase memo/store effectiveness, recorded into the request's trace

@@ -20,8 +20,8 @@
     - {b periodic compaction}: when enough dead lines accumulate
       (duplicate keys from concurrent same-fingerprint requests), the
       log is rewritten through a temp file and atomically renamed;
-    - {b multi-process safe}: several daemons may share one log (the
-      fleet's warm tier, docs/SERVER.md "Fleet mode").  All disk traffic
+    - {b multi-process safe}: several daemons may share one log
+      (docs/SERVER.md "Coalescing and shared stores").  All disk traffic
       happens under a cross-process advisory lock on a [<path>.lock]
       sidecar (a dedicated file because fcntl locks die with any close
       of any descriptor on the locked file, and compaction must reopen
@@ -86,8 +86,8 @@ val sync : t -> unit
 val refresh : t -> unit
 (** {!sync} without the compaction trigger: reconcile with the shared
     log (flush our pending appends, fold in everyone else's).  Search
-    handlers call this before starting work so a fleet worker answers
-    warm even when a sibling process computed the result. *)
+    handlers call this before starting work so a daemon answers warm
+    even when another process sharing the log computed the result. *)
 
 val close : t -> unit
 (** Flush pending appends, then close the log and its lock.  The store

@@ -1,7 +1,7 @@
-(* Fleet mode: rendezvous placement, client backoff, request keys, the
-   coalescing table, scheduler-level coalescing, the shared warm tier
-   under concurrent writer processes, pipelined client demux, and the
-   router's coalesce/failover path against live worker daemons. *)
+(* Concurrency around one daemon: client backoff, scheduler-level
+   coalescing, the shared warm tier under concurrent writer processes,
+   pipelined client demux, and [tiler request --retries] against a
+   saturated daemon. *)
 
 module Json = Tiling_obs.Json
 module Netio = Tiling_util.Netio
@@ -11,11 +11,7 @@ module Server = Tiling_server.Server
 module Store = Tiling_server.Store
 module Client = Tiling_server.Client
 module Memo = Tiling_search.Memo
-module Rendezvous = Tiling_fleet.Rendezvous
-module Backoff = Tiling_fleet.Backoff
-module Key = Tiling_fleet.Key
-module Coalesce = Tiling_fleet.Coalesce
-module Router = Tiling_fleet.Router
+module Backoff = Tiling_server.Backoff
 
 let get path json =
   List.fold_left
@@ -40,61 +36,6 @@ let rm_f path = try Sys.remove path with Sys_error _ -> ()
 let rm_store path =
   rm_f path;
   rm_f (path ^ ".lock")
-
-(* ------------------------------------------------------------------ *)
-(* Rendezvous hashing                                                   *)
-
-let test_rendezvous () =
-  let nodes = [ "unix:/w1.sock"; "unix:/w2.sock"; "unix:/w3.sock"; "unix:/w4.sock" ] in
-  let keys =
-    List.init 400 (fun i ->
-        Printf.sprintf "tile {\"kernel\":\"mm\",\"n\":%d,\"seed\":%d}"
-          (8 + (i mod 56)) i)
-  in
-  let owner ~nodes key =
-    match Rendezvous.owner ~nodes ~key with
-    | Some o -> o
-    | None -> Alcotest.fail "no owner for a non-empty node set"
-  in
-  (* deterministic, and [rank] is a permutation with the owner at head *)
-  List.iter
-    (fun key ->
-      let r = Rendezvous.rank ~nodes ~key in
-      Alcotest.(check (list string))
-        "rank permutes the node set" (List.sort compare nodes)
-        (List.sort compare r);
-      Alcotest.(check string) "owner is the head of rank" (owner ~nodes key)
-        (List.hd r))
-    keys;
-  (* no node starves: the hash spreads keys over every member *)
-  List.iter
-    (fun n ->
-      Alcotest.(check bool)
-        (n ^ " owns a share of the keys")
-        true
-        (List.exists (fun k -> owner ~nodes k = n) keys))
-    nodes;
-  (* minimal reshuffle: dropping one node re-homes only its keys, and
-     each orphan lands on its (already determined) second choice *)
-  let dead = "unix:/w2.sock" in
-  let survivors = List.filter (fun n -> n <> dead) nodes in
-  let moved = ref 0 in
-  List.iter
-    (fun key ->
-      let before = Rendezvous.rank ~nodes ~key in
-      let after = owner ~nodes:survivors key in
-      if List.hd before = dead then begin
-        incr moved;
-        Alcotest.(check string) "orphan falls to its second choice"
-          (List.nth before 1) after
-      end
-      else
-        Alcotest.(check string) "survivor keys never move" (List.hd before)
-          after)
-    keys;
-  Alcotest.(check bool) "the dead node owned something" true (!moved > 0);
-  Alcotest.(check bool) "empty node set has no owner" true
-    (Rendezvous.owner ~nodes:[] ~key:"k" = None)
 
 (* ------------------------------------------------------------------ *)
 (* Backoff                                                              *)
@@ -122,96 +63,6 @@ let test_backoff () =
   Alcotest.(check int) "reset rewinds to attempt 0" 0 (Backoff.attempts b);
   let d = Backoff.next b in
   Alcotest.(check bool) "back to the base delay" true (d >= 0.25 && d <= 0.5)
-
-(* ------------------------------------------------------------------ *)
-(* Request keys                                                         *)
-
-let test_keys () =
-  let params order =
-    Json.Obj
-      (if order then
-         [ ("kernel", Json.String "mm"); ("n", Json.Int 16); ("seed", Json.Int 3) ]
-       else
-         [ ("seed", Json.Int 3); ("n", Json.Int 16); ("kernel", Json.String "mm") ])
-  in
-  Alcotest.(check string) "field order never splits the shard key"
-    (Key.shard_key ~meth:"tile" ~params:(params true))
-    (Key.shard_key ~meth:"tile" ~params:(params false));
-  Alcotest.(check bool) "field order never splits the coalesce key" true
-    (Key.coalesce_key ~meth:"tile" ~params:(params true)
-    = Key.coalesce_key ~meth:"tile" ~params:(params false));
-  (* delivery options are invisible to placement but split coalescing *)
-  let traced =
-    Json.Obj
-      [
-        ("trace", Json.Bool true);
-        ("deadline_s", Json.Float 5.);
-        ("kernel", Json.String "mm");
-        ("n", Json.Int 16);
-        ("seed", Json.Int 3);
-      ]
-  in
-  Alcotest.(check string) "a traced twin keeps the same owner"
-    (Key.shard_key ~meth:"tile" ~params:(params true))
-    (Key.shard_key ~meth:"tile" ~params:traced);
-  Alcotest.(check bool) "a traced twin never shares an envelope" true
-    (Key.coalesce_key ~meth:"tile" ~params:traced
-    <> Key.coalesce_key ~meth:"tile" ~params:(params true));
-  let progressive =
-    Json.Obj
-      [ ("progress", Json.Bool true); ("kernel", Json.String "mm"); ("n", Json.Int 16) ]
-  in
-  Alcotest.(check bool) "progress streams never coalesce" true
-    (Key.coalesce_key ~meth:"tile" ~params:progressive = None);
-  Alcotest.(check bool) "the method is part of the key" true
-    (Key.shard_key ~meth:"tile" ~params:(params true)
-    <> Key.shard_key ~meth:"pad-tile" ~params:(params true));
-  (* canonicalisation sorts objects recursively, leaves list order alone *)
-  let nested =
-    Json.Obj
-      [
-        ("b", Json.Obj [ ("y", Json.Int 1); ("x", Json.Int 2) ]);
-        ("a", Json.List [ Json.Int 2; Json.Int 1 ]);
-      ]
-  in
-  Alcotest.(check string) "recursive canonicalisation"
-    {|{"a":[2,1],"b":{"x":2,"y":1}}|}
-    (Json.to_string (Key.canon nested))
-
-(* ------------------------------------------------------------------ *)
-(* The coalescing table                                                 *)
-
-let test_coalesce_table () =
-  let t = Coalesce.create () in
-  let log = ref [] in
-  let w name ~coalesced v = log := (name, coalesced, v) :: !log in
-  Alcotest.(check bool) "first join leads" true
-    (Coalesce.join t ~key:"k" (w "leader") = `Leader);
-  Alcotest.(check bool) "second join attaches" true
-    (Coalesce.join t ~key:"k" (w "w1") = `Attached);
-  Alcotest.(check bool) "third join attaches" true
-    (Coalesce.join t ~key:"k" (w "w2") = `Attached);
-  Alcotest.(check bool) "a distinct key opens its own group" true
-    (Coalesce.join t ~key:"solo" (w "solo") = `Leader);
-  Alcotest.(check int) "two open groups" 2 (Coalesce.inflight t);
-  Alcotest.(check int) "two waiters attached" 2 (Coalesce.waiting t);
-  Alcotest.(check int) "the group of three settles together" 3
-    (Coalesce.settle t ~key:"k" 42);
-  Alcotest.(check (list (triple string bool int)))
-    "join order, leader first, every member flagged"
-    [ ("leader", true, 42); ("w1", true, 42); ("w2", true, 42) ]
-    (List.rev !log);
-  log := [];
-  Alcotest.(check int) "a group of one settles alone" 1
-    (Coalesce.settle t ~key:"solo" 7);
-  Alcotest.(check (list (triple string bool int)))
-    "a lone leader is not flagged"
-    [ ("solo", false, 7) ]
-    (List.rev !log);
-  Alcotest.(check int) "settling twice is a no-op" 0 (Coalesce.settle t ~key:"k" 0);
-  Alcotest.(check int) "two attach hits counted" 2 (Coalesce.hits t);
-  Alcotest.(check int) "no open groups left" 0 (Coalesce.inflight t);
-  Alcotest.(check int) "no waiters left" 0 (Coalesce.waiting t)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler-level coalescing                                           *)
@@ -614,171 +465,6 @@ let test_daemon_coalescing_e2e () =
   ignore (call_ok client ~meth:"shutdown" ~params:[])
 
 (* ------------------------------------------------------------------ *)
-(* Router end-to-end: coalescing, crash failover, drain                 *)
-
-let spawn_worker ~sock ~store =
-  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  Fun.protect ~finally:(fun () -> Unix.close null) @@ fun () ->
-  Unix.create_process tiler_exe
-    [|
-      tiler_exe; "serve";
-      "--socket"; "unix:" ^ sock;
-      "--store"; store;
-      "--workers"; "2";
-      "--queue"; "32";
-    |]
-    Unix.stdin null null
-
-let test_router_e2e () =
-  let w1 = temp_path ".w1.sock"
-  and w2 = temp_path ".w2.sock"
-  and rsock = temp_path ".router.sock"
-  and store = temp_path ".store" in
-  let pid1 = spawn_worker ~sock:w1 ~store in
-  let pid2 = spawn_worker ~sock:w2 ~store in
-  await_socket w1;
-  await_socket w2;
-  let router_result = ref (Ok ()) in
-  let router =
-    Thread.create
-      (fun () ->
-        router_result :=
-          Router.run
-            {
-              Router.addr = Netio.Unix_sock rsock;
-              workers = [ Netio.Unix_sock w1; Netio.Unix_sock w2 ];
-              health_period_s = 60.;
-              io_timeout_s = 2.0;
-              max_line_bytes = 1 lsl 20;
-              metrics_addr = None;
-            })
-      ()
-  in
-  await_socket rsock;
-  let client = connect rsock in
-  let workers = [ (pid1, Netio.addr_to_string (Netio.Unix_sock w1));
-                  (pid2, Netio.addr_to_string (Netio.Unix_sock w2)) ] in
-  let owner_of params =
-    let skey = Key.shard_key ~meth:"tile" ~params:(Json.Obj params) in
-    match Rendezvous.owner ~nodes:(List.map snd workers) ~key:skey with
-    | Some o -> o
-    | None -> assert false
-  in
-  let tile_params seed n =
-    [ ("kernel", Json.String "mm"); ("n", Json.Int n); ("seed", Json.Int seed) ]
-  in
-  let reap pid = ignore (Unix.waitpid [] pid) in
-  Fun.protect
-    ~finally:(fun () ->
-      Client.close client;
-      (try Unix.kill pid1 Sys.sigkill with Unix.Unix_error _ -> ());
-      (try Unix.kill pid2 Sys.sigkill with Unix.Unix_error _ -> ());
-      (try reap pid1 with Unix.Unix_error _ -> ());
-      (try reap pid2 with Unix.Unix_error _ -> ());
-      Thread.join router;
-      rm_store store;
-      List.iter rm_f [ w1; w2; rsock ])
-  @@ fun () ->
-  (* a plain forward answers through whichever worker owns the key *)
-  let first = call_ok client ~meth:"tile" ~params:(tile_params 21 12) in
-  Alcotest.(check bool) "forwarded tile carries tiles" true
-    (get [ "outcome"; "tiles" ] first <> None);
-  (* duplicate concurrent requests coalesce at the router: one forward,
-     every sharing member flagged *)
-  let params = tile_params 22 12 in
-  let results = Array.make 4 None in
-  let threads =
-    List.init 4 (fun i ->
-        Thread.create (fun i -> results.(i) <- Some (Client.call client ~meth:"tile" ~params)) i)
-  in
-  List.iter Thread.join threads;
-  let envelopes =
-    Array.to_list results
-    |> List.map (function
-         | Some (Ok e) -> e
-         | Some (Error m) -> Alcotest.failf "coalesce burst transport: %s" m
-         | None -> Alcotest.fail "a coalesced request never returned")
-  in
-  let tiles e =
-    match Client.result_of_response e with
-    | Ok r -> Json.to_string (Option.value (get [ "outcome"; "tiles" ] r) ~default:Json.Null)
-    | Error err -> Alcotest.failf "coalesce burst server error: %s" err.Protocol.message
-  in
-  (match envelopes with
-  | first :: rest ->
-      List.iter
-        (fun e ->
-          Alcotest.(check string) "all four answers agree" (tiles first) (tiles e))
-        rest
-  | [] -> assert false);
-  let flagged =
-    List.length
-      (List.filter
-         (fun e -> Json.member "coalesced" e = Some (Json.Bool true))
-         envelopes)
-  in
-  Alcotest.(check bool) "at least one group shared a forward" true (flagged >= 2);
-  let stats = call_ok client ~meth:"stats" ~params:[] in
-  Alcotest.(check string) "the router answers stats itself" "router"
-    (match get [ "role" ] stats with
-    | Some (Json.String r) -> r
-    | _ -> "?");
-  Alcotest.(check bool) "coalesce hits recorded" true
-    (get_int [ "requests"; "coalesced" ] stats >= 1);
-  (* kill a worker mid-request: the router must re-answer from the
-     survivor with no client-visible error *)
-  let mid_params = tile_params 23 16 in
-  let victim_name = owner_of mid_params in
-  let victim_pid = fst (List.find (fun (_, n) -> n = victim_name) workers) in
-  let mid_result = ref None in
-  let mid =
-    Thread.create
-      (fun () -> mid_result := Some (Client.call client ~meth:"tile" ~params:mid_params))
-      ()
-  in
-  Thread.delay 0.3;
-  Unix.kill victim_pid Sys.sigkill;
-  reap victim_pid;
-  Thread.join mid;
-  (match !mid_result with
-  | Some (Ok e) -> (
-      match Client.result_of_response e with
-      | Ok _ -> ()
-      | Error err ->
-          Alcotest.failf "mid-flight kill leaked an error: %s" err.Protocol.message)
-  | Some (Error m) -> Alcotest.failf "mid-flight kill broke transport: %s" m
-  | None -> Alcotest.fail "mid-flight request never returned");
-  (* a key owned by the dead worker fails over to the survivor *)
-  let rec owned_by_victim seed =
-    if seed > 400 then Alcotest.fail "no seed owned by the dead worker"
-    else if owner_of (tile_params seed 12) = victim_name then seed
-    else owned_by_victim (seed + 1)
-  in
-  let seed = owned_by_victim 100 in
-  let r = call_ok client ~meth:"tile" ~params:(tile_params seed 12) in
-  Alcotest.(check bool) "the survivor answered the orphaned key" true
-    (get [ "outcome"; "tiles" ] r <> None);
-  let stats = call_ok client ~meth:"stats" ~params:[] in
-  Alcotest.(check bool) "the failover was a retry, not an error" true
-    (get_int [ "requests"; "retried" ] stats >= 1);
-  Alcotest.(check int) "no request exhausted the fleet" 0
-    (get_int [ "requests"; "failed" ] stats);
-  (* clean drain: wire shutdown stops the router; SIGTERM drains the
-     surviving worker to exit 0 *)
-  ignore (call_ok client ~meth:"shutdown" ~params:[]);
-  Thread.join router;
-  (match !router_result with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "router exited with: %s" m);
-  Alcotest.(check bool) "router socket unlinked on drain" false
-    (Sys.file_exists rsock);
-  let survivor_pid = if victim_pid = pid1 then pid2 else pid1 in
-  Unix.kill survivor_pid Sys.sigterm;
-  match Unix.waitpid [] survivor_pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _, _ -> Alcotest.fail "surviving worker did not drain cleanly"
-
-(* ------------------------------------------------------------------ *)
 (* tiler request --retries against a saturated daemon                   *)
 
 let test_cli_request_retries () =
@@ -887,14 +573,8 @@ let test_cli_request_retries () =
 
 let suite =
   [
-    Alcotest.test_case "rendezvous: deterministic, minimal reshuffle" `Quick
-      test_rendezvous;
     Alcotest.test_case "backoff: schedule, hints, jitter bounds" `Quick
       test_backoff;
-    Alcotest.test_case "request keys: canonical, delivery-option aware" `Quick
-      test_keys;
-    Alcotest.test_case "coalesce table: groups, order, flags" `Quick
-      test_coalesce_table;
     Alcotest.test_case "scheduler coalesces identical in-flight requests"
       `Quick test_scheduler_coalescing;
     Alcotest.test_case "store: two handles share one log" `Quick
@@ -905,8 +585,6 @@ let suite =
       test_client_pipelining;
     Alcotest.test_case "daemon: 8 identical requests, 1 evaluation" `Quick
       test_daemon_coalescing_e2e;
-    Alcotest.test_case "router: coalesce, kill-one-worker failover, drain"
-      `Quick test_router_e2e;
     Alcotest.test_case "tiler request --retries rides out overload" `Quick
       test_cli_request_retries;
   ]

@@ -23,13 +23,12 @@ let inventory =
     ("cme.residues.shared.hit", "Shared residue cache hits");
     ("cme.residues.shared.miss", "Shared residue cache misses");
     (* symbolic.* — closed-form CME backend *)
-    ("symbolic.fallbacks", "Symbolic-backend evaluations that fell back to sampling");
+    ("symbolic.fallbacks", "Symbolic-backend candidates scored by sampling");
     ("symbolic.points.classified", "Point classifications spent by the closed-form solver");
     ("symbolic.rows", "Iteration-space rows visited by the closed-form solver");
     ("symbolic.rows.extrapolated", "References whose row middle was extrapolated from a validated period");
     ("symbolic.rows.memo.hit", "Rows answered from the row-signature memo");
     ("symbolic.rows.parallel", "Rows walked by pool-parallel census chunks");
-    ("symbolic.rows.probed", "Stratified probe rows classified by the bounded mode");
     ("symbolic.rows.ref_exhaustive", "References classified exhaustively after a failed period validation");
     (* ga.* — genetic algorithm engine *)
     ("ga.evaluations", "Objective evaluations performed by the GA");

@@ -35,10 +35,11 @@ let sim =
 
 let m_fallbacks = Tiling_obs.Metrics.counter "symbolic.fallbacks"
 
-(* Fallback sampling is the symbolic backend's last resort (affine-coupled
-   nests); cap its point count so a fallback candidate costs a bounded
-   number of classifications, like every other symbolic evaluation. *)
-let fallback_sample_cap = 64
+(* Classifications the census may spend on one candidate.  Small enough
+   that a refusal comes from the upfront guards, before any
+   classification, so a refused candidate costs about what cme-sample
+   does; large enough that test-sized nests still get the exact census. *)
+let census_budget = 16_384
 
 let symbolic =
   {
@@ -46,29 +47,17 @@ let symbolic =
     cost =
       (fun cache nest ~points ->
         let engine = Tiling_cme.Engine.create nest cache in
-        (* A search evaluates hundreds of candidates, so per-candidate
-           latency must stay bounded: the bounded mode spends a fixed
-           number of probe rows per evaluation (scaled by the budget)
-           instead of refusing like the oracle-grade census. *)
-        match
-          Tiling_cme.Closed_form.estimate ~budget:150_000
-            ~mode:Tiling_cme.Closed_form.Bounded engine
-        with
+        match Tiling_cme.Closed_form.estimate ~budget:census_budget engine with
         | Ok report ->
             float_of_int (Tiling_cme.Estimator.replacement report)
         | Error reason ->
             Tiling_obs.Metrics.incr m_fallbacks;
             Logs.debug (fun m ->
-                m "symbolic backend falling back to sampling (%a) on %s"
+                m "symbolic backend sampling (%a) on %s"
                   Tiling_cme.Closed_form.pp_reason reason
                   nest.Tiling_ir.Nest.name);
-            let points =
-              if Array.length points > fallback_sample_cap then
-                Array.sub points 0 fallback_sample_cap
-              else points
-            in
             let report = Tiling_cme.Estimator.sample_at engine points in
-            (* The closed form reports whole-space counts; keep fallback
+            (* The census reports whole-space counts; keep sampled
                candidates on the same scale so one search never compares
                sampled against census magnitudes. *)
             let scale =

@@ -40,12 +40,13 @@ val sim : t
     Name: ["sim"]. *)
 
 val symbolic : t
-(** Closed-form CME aggregation ({!Tiling_cme.Closed_form.estimate}):
-    whole-space replacement counts from boundary-window classification plus
-    periodic extrapolation — census accuracy without census cost.  Nests the
-    closed form refuses (affine-coupled bounds, budget blowout) fall back to
-    the embedded sample, scaled to whole-space magnitude so objectives stay
-    comparable within one search; each fallback increments the
+(** The exact closed-form census ({!Tiling_cme.Closed_form.estimate})
+    where it fits a small classification budget, CME point sampling
+    elsewhere.  Candidates the census refuses (affine-coupled bounds, or
+    more classifications than the budget allows — every flagship-sized
+    nest) are scored by {!Tiling_cme.Estimator.sample_at} over all the
+    embedded points, scaled to whole-space magnitude so objectives stay
+    comparable within one search; each such candidate increments the
     [symbolic.fallbacks] metric.  Name: ["symbolic"]. *)
 
 val default : t

@@ -223,6 +223,59 @@ let test_census_parallel_identical () =
         c.Estimator.r_compulsory c'.Estimator.r_compulsory)
     seq.Estimator.per_ref
 
+let test_symbolic_ranks_flagship () =
+  (* At dm8k the census refuses flagship-sized candidates, so the backend
+     must rank them as CME sampling does: by the paper's 164-point sample,
+     drawn once from the untiled nest and embedded per tiling, over every
+     point and scaled to whole-space magnitude.  Each pair is a worse and a
+     better tiling; the simulator fixes which is which. *)
+  let cache = Tiling_cache.Config.dm8k in
+  let open Tiling_search.Backend in
+  let fallbacks = Tiling_obs.Metrics.counter "symbolic.fallbacks" in
+  let sampled = ref 0 in
+  let check_pair name nest worse better =
+    let sample =
+      Tiling_core.Sample.create ~seed:Tiling_core.Tiler.default_opts.seed nest
+    in
+    let cost backend tiles =
+      let tiled = Tiling_ir.Transform.tile nest tiles in
+      let points = Tiling_core.Sample.embed sample ~tiles in
+      let before = Tiling_obs.Metrics.counter_value fallbacks in
+      let c = backend.cost cache tiled ~points in
+      if Tiling_obs.Metrics.counter_value fallbacks > before then begin
+        incr sampled;
+        let report = Estimator.sample_at (Engine.create tiled cache) points in
+        let expected =
+          float_of_int (Estimator.replacement report)
+          *. float_of_int (Tiling_ir.Nest.trip_count tiled)
+          /. float_of_int (Array.length points)
+        in
+        Alcotest.(check (float 1e-6)) (name ^ ": sampled over all points")
+          expected c
+      end;
+      c
+    in
+    Alcotest.(check bool)
+      (name ^ ": simulator orders the pair") true
+      (cost sim worse > cost sim better);
+    let sw = cost symbolic worse and sb = cost symbolic better in
+    if not (sw > sb) then
+      Alcotest.failf "%s: symbolic scores %.0f vs %.0f, simulator disagrees"
+        name sw sb
+  in
+  Tiling_obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Tiling_obs.Metrics.set_enabled false)
+    (fun () ->
+      let mm = Tiling_kernels.Kernels.mm 64 in
+      check_pair "mm64 untiled vs 8x8x8" mm
+        (Tiling_ir.Transform.tile_spans mm)
+        [| 8; 8; 8 |];
+      check_pair "t2d200 1x75 vs 8x8"
+        (Tiling_kernels.Kernels.t2d 200)
+        [| 1; 75 |] [| 8; 8 |]);
+  Alcotest.(check bool) "some candidate was sampled" true (!sampled > 0)
+
 let suite =
   [
     Alcotest.test_case "census = exact (rect kernels)" `Slow
@@ -244,4 +297,6 @@ let suite =
       test_census_dm8k_matches_exact;
     Alcotest.test_case "parallel census identical" `Slow
       test_census_parallel_identical;
+    Alcotest.test_case "symbolic ranks flagship tilings like the simulator"
+      `Slow test_symbolic_ranks_flagship;
   ]

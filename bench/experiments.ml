@@ -499,9 +499,6 @@ type eval_row = {
   e_evals : int;
   e_wall_s : float;
   e_evals_per_s : float;
-  e_fallbacks : int;
-      (* symbolic-backend candidates scored by sampling during this run
-         (0 for every other backend) *)
 }
 
 let eval_rows : eval_row list ref = ref []
@@ -528,8 +525,8 @@ let candidate_batches ~spans ~batches ~batch_size ~seed =
 
 let eval_throughput () =
   Fmt.pr "@.== Eval throughput: evaluate_all evals/sec ==@.";
-  Fmt.pr "%-10s %-10s %-4s %7s %8s %10s %12s %5s@." "Kernel_N" "backend"
-    "res" "domains" "evals" "wall (s)" "evals/sec" "fb";
+  Fmt.pr "%-10s %-10s %-4s %7s %8s %10s %12s@." "Kernel_N" "backend" "res"
+    "domains" "evals" "wall (s)" "evals/sec";
   let quick = bench_quick () in
   let domain_counts = if quick then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
   let batches = if quick then 8 else 24 in
@@ -537,39 +534,23 @@ let eval_throughput () =
   let sample_points = 32 in
   (* sim replays the full iteration space per candidate, so it gets small
      problem sizes; cme-sample scales with the sample, not the space. *)
-  let dm8k = Tiling_cache.Config.dm8k in
-  let dm1k = Tiling_cache.Config.dm1k in
+  let cache = Tiling_cache.Config.dm8k in
   let configs =
     [
-      ("MM", 200, Tiling_search.Backend.cme_sample, batches, dm8k);
-      ("SOR", 500, Tiling_search.Backend.cme_sample, batches, dm8k);
+      ("MM", 200, Tiling_search.Backend.cme_sample);
+      ("SOR", 500, Tiling_search.Backend.cme_sample);
       (* Triangular datapoint: the affine latest-source path instead of the
          reuse-vector machinery — the throughput cost of exactness on
          non-rectangular spaces. *)
-      ("LU", 100, Tiling_search.Backend.cme_sample, batches, dm8k);
-      (* Same-series baseline for the symbolic MM_64 rows below. *)
-      ("MM", 64, Tiling_search.Backend.cme_sample, batches, dm8k);
-      ("MM", 24, Tiling_search.Backend.sim, batches, dm8k);
-      ("SOR", 48, Tiling_search.Backend.sim, batches, dm8k);
-      ("LU", 24, Tiling_search.Backend.sim, batches, dm8k);
-      (* Symbolic backend: the exact census where it fits the backend's
-         budget, sampling otherwise.  At these sizes the census refuses
-         upfront on every MM candidate and every LU one is affine, so the
-         [fb] column counts sampled candidates and the per-eval wall
-         (gated below in quick mode) must stay near cme-sample's.  The
-         dm1k row is the small-modulus series. *)
-      ("MM", 200, Tiling_search.Backend.symbolic, 2, dm8k);
-      ("MM", 64, Tiling_search.Backend.symbolic, 2, dm8k);
-      ("MM", 64, Tiling_search.Backend.symbolic, 2, dm1k);
-      ("LU", 100, Tiling_search.Backend.symbolic, 2, dm8k);
+      ("LU", 100, Tiling_search.Backend.cme_sample);
+      ("MM", 64, Tiling_search.Backend.cme_sample);
+      ("MM", 24, Tiling_search.Backend.sim);
+      ("SOR", 48, Tiling_search.Backend.sim);
+      ("LU", 24, Tiling_search.Backend.sim);
     ]
   in
-  let fallback_counter = Tiling_obs.Metrics.counter "symbolic.fallbacks" in
-  let metrics_were = Tiling_obs.Metrics.enabled () in
-  Tiling_obs.Metrics.set_enabled true;
-  let rows_before = !eval_rows in
   List.iter
-    (fun (name, n, backend, batches, cache) ->
+    (fun (name, n, backend) ->
       let nest = build name n in
       let sample = Tiling_core.Sample.create ~n:sample_points ~seed nest in
       let spans = Tiling_ir.Transform.tile_spans nest in
@@ -588,16 +569,12 @@ let eval_throughput () =
                 Tiling_core.Sample.embed sample ~tiles ))
             ()
         in
-        let fb0 = Tiling_obs.Metrics.counter_value fallback_counter in
         let t0 = Unix.gettimeofday () in
         Array.iter
           (fun batch -> ignore (Tiling_search.Eval.evaluate_all eval batch))
           all_batches;
         let wall = Unix.gettimeofday () -. t0 in
         let evals = Tiling_search.Eval.fresh eval in
-        let fallbacks =
-          Tiling_obs.Metrics.counter_value fallback_counter - fb0
-        in
         let rate = float_of_int evals /. Float.max 1e-9 wall in
         eval_rows :=
           {
@@ -610,46 +587,19 @@ let eval_throughput () =
             e_evals = evals;
             e_wall_s = wall;
             e_evals_per_s = rate;
-            e_fallbacks = fallbacks;
           }
           :: !eval_rows;
-        Fmt.pr "%-10s %-10s %-4s %7d %8d %10.3f %12.0f %5d@."
+        Fmt.pr "%-10s %-10s %-4s %7d %8d %10.3f %12.0f@."
           (Printf.sprintf "%s_%d/%dk" name n (cache.Tiling_cache.Config.size / 1024))
           backend.Tiling_search.Backend.name residues domains evals wall
-          rate fallbacks
+          rate
       in
       List.iter
         (fun domains ->
           measure ~residues:"cold" ~domains;
           measure ~residues:"warm" ~domains)
         domain_counts)
-    configs;
-  Tiling_obs.Metrics.set_enabled metrics_were;
-  (* Quick mode doubles as the CI smoke, so it gates a regression the
-     human-readable table would merely display: symbolic per-evaluation
-     latency must stay within an order of magnitude of the measured
-     envelope.  A census that passes its upfront guards and then grinds to
-     a refusal shows up as a 50-100x blowup, far outside machine noise. *)
-  if quick then begin
-    let this_run =
-      let before = rows_before in
-      List.filteri (fun i _ -> i < List.length !eval_rows - List.length before)
-        !eval_rows
-    in
-    List.iter
-      (fun r ->
-        if r.e_backend = "symbolic" then begin
-          let per_eval = r.e_wall_s /. float_of_int (max 1 r.e_evals) in
-          let bound = if r.e_kernel = "LU" then 0.25 else 0.10 in
-          if per_eval > bound then
-            failwith
-              (Printf.sprintf
-                 "eval-throughput gate: symbolic %s_%d spent %.3f s/eval \
-                  (bound %.2f): census refusal path regressed"
-                 r.e_kernel r.e_size per_eval bound)
-        end)
-      this_run
-  end
+    configs
 
 (* ------------------------------------------------------------------ *)
 (* Differential fuzzer throughput: oracle trials per second             *)

@@ -123,7 +123,6 @@ let json_of_eval_row (r : Experiments.eval_row) =
       ("evals", Int r.Experiments.e_evals);
       ("wall_s", Float r.Experiments.e_wall_s);
       ("evals_per_s", Float r.Experiments.e_evals_per_s);
-      ("fallbacks", Int r.Experiments.e_fallbacks);
     ]
 
 (* A partial run (e.g. `bench/main.exe -- serve-latency`) must not wipe

@@ -476,21 +476,6 @@ let joint_cmd =
         (const run $ kernel_arg $ size_arg $ cache_size_arg $ line_arg
        $ assoc_arg $ seed_arg $ domains_arg $ backend_arg $ obs_term))
 
-(* The oracle/fuzz CME side: exact point classification or the closed-form
-   aggregator.  Named --backend to mirror the search commands, but the
-   choices differ (the comparison needs a census, so cme-sample/sim do not
-   apply). *)
-let oracle_mode_arg =
-  let mode_conv =
-    Arg.enum [ ("exact", `Exact); ("symbolic", `Closed_form) ]
-  in
-  let doc =
-    "CME side of the comparison: $(b,exact) classifies every point, \
-     $(b,symbolic) aggregates through the closed-form solver (refusals \
-     count as inconclusive)."
-  in
-  Arg.(value & opt mode_conv `Exact & info [ "backend" ] ~docv:"BACKEND" ~doc)
-
 let fuzz_cmd =
   let trials_arg =
     let doc = "Number of random trials to run." in
@@ -511,7 +496,7 @@ let fuzz_cmd =
     in
     Arg.(value & opt (some string) None & info [ "spec" ] ~docv:"KNOBS" ~doc)
   in
-  let run trials time_budget spec seed domains mode obs =
+  let run trials time_budget spec seed domains obs =
     let knobs =
       match spec with
       | None -> Ok Tiling_fuzz.Driver.default_knobs
@@ -524,8 +509,7 @@ let fuzz_cmd =
         if obs.metrics then Tiling_obs.Metrics.set_enabled true;
         if obs.trace_out <> None then Tiling_obs.Span.set_enabled true;
         let o =
-          Tiling_fuzz.Driver.run ~knobs ?time_budget ~domains ~mode ~trials
-            ~seed ()
+          Tiling_fuzz.Driver.run ~knobs ?time_budget ~domains ~trials ~seed ()
         in
         Option.iter
           (fun file ->
@@ -612,7 +596,7 @@ let fuzz_cmd =
     Term.(
       ret
         (const run $ trials_arg $ time_budget_arg $ spec_arg $ seed_arg
-       $ domains_arg $ oracle_mode_arg $ obs_term))
+       $ domains_arg $ obs_term))
 
 let oracle_cmd =
   let kernels_arg =
@@ -629,7 +613,7 @@ let oracle_cmd =
     in
     Arg.(value & opt int 12 & info [ "n"; "size" ] ~docv:"N" ~doc)
   in
-  let run kernels size csize line assoc mode =
+  let run kernels size csize line assoc =
     match build_cache csize line assoc with
     | Error (`Msg m) -> `Error (false, m)
     | Ok cache ->
@@ -669,7 +653,7 @@ let oracle_cmd =
                 in
                 List.iter
                   (fun (label, nest) ->
-                    let r = Tiling_fuzz.Oracle.check ~mode nest cache in
+                    let r = Tiling_fuzz.Oracle.check nest cache in
                     let verdict =
                       match r.Tiling_fuzz.Oracle.verdict with
                       | Tiling_fuzz.Oracle.Agree -> "agree"
@@ -704,7 +688,7 @@ let oracle_cmd =
     Term.(
       ret
         (const run $ kernels_arg $ oracle_size_arg $ cache_size_arg $ line_arg
-       $ assoc_arg $ oracle_mode_arg))
+       $ assoc_arg))
 
 let baselines_cmd =
   let run name size csize line assoc seed obs =

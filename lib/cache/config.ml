@@ -8,7 +8,6 @@ let make ~size ~line ?(assoc = 1) () =
   if size mod (line * assoc) <> 0 then invalid_arg "size not divisible by line * assoc";
   { size; line; assoc; sets = size / (line * assoc) }
 
-let dm1k = make ~size:1024 ~line:32 ()
 let dm8k = make ~size:8192 ~line:32 ()
 let dm32k = make ~size:32768 ~line:32 ()
 

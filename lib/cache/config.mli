@@ -15,12 +15,6 @@ val make : size:int -> line:int -> ?assoc:int -> unit -> t
 (** @raise Invalid_argument unless [line] and [size] are powers of two,
     [line <= size], [assoc >= 1] and [assoc * line] divides [size]. *)
 
-val dm1k : t
-(** 1 KB direct-mapped, 32-byte lines — a small-modulus configuration
-    ([sets * line = 1024]) whose outcome periods are short enough for the
-    closed-form census to validate cheaply; used by benches and CI
-    smokes. *)
-
 val dm8k : t
 (** 8 KB direct-mapped, 32-byte lines — the paper's primary configuration. *)
 

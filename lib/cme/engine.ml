@@ -168,7 +168,6 @@ let create ?(window_cap = 512) nest cache =
 
 let nest t = t.nest
 let cache t = t.cache
-let window_cap t = t.window_cap
 let reuse_vectors t = t.reuse
 let fallback_count t = t.fallbacks
 let memo_size t = Hashtbl.length t.memo

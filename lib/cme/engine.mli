@@ -38,10 +38,6 @@ val create :
 val nest : t -> Tiling_ir.Nest.t
 val cache : t -> Tiling_cache.Config.t
 
-val window_cap : t -> int
-(** The per-segment window bound this engine was created with (so helpers
-    can build sibling engines with identical conservative behaviour). *)
-
 val reuse_vectors : t -> Tiling_reuse.Vectors.t list array
 (** The reuse vectors the solver uses, per reference. *)
 

@@ -66,17 +66,6 @@ let classify_point engine point accs =
         acc.c <- acc.c + 1
   done
 
-(* Census reports assembled from externally aggregated per-reference
-   counts: the closed-form solver counts whole residue classes at once and
-   never drives [classify_all], but its reports must look exactly like an
-   [exact] census (degenerate intervals, accesses = points * nrefs). *)
-let census_report ~points ~per_ref ~fallbacks =
-  let misses = Array.fold_left (fun s c -> s + c.r_misses) 0 per_ref in
-  let compulsory = Array.fold_left (fun s c -> s + c.r_compulsory) 0 per_ref in
-  report_of ~interval:census_interval ~points
-    ~accesses:(points * Array.length per_ref)
-    ~misses ~compulsory ~per_ref ~fallbacks
-
 let totals accs =
   let misses = Array.fold_left (fun s x -> s + x.m) 0 accs in
   let compulsory = Array.fold_left (fun s x -> s + x.c) 0 accs in

@@ -52,13 +52,6 @@ val default_points : unit -> int
 (** The paper's sample size: [required_sample_size ~width:0.1
     ~confidence:0.9] = 164. *)
 
-val census_report :
-  points:int -> per_ref:ref_counts array -> fallbacks:int -> report
-(** Assemble a census-shaped report (degenerate exact intervals,
-    [accesses = points * Array.length per_ref]) from per-reference counts
-    aggregated elsewhere — the closed-form solver builds its reports this
-    way.  Every reference must have been charged one access per point. *)
-
 val to_json : report -> Tiling_obs.Json.t
 (** Machine-readable rendering of a report: totals, both confidence
     intervals, the per-call fallback delta and per-reference counts. *)

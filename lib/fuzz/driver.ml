@@ -183,8 +183,8 @@ type outcome = {
    isolation, stable under time-budget truncation. *)
 let trial_rng ~seed index = Prng.create ~seed:(seed lxor ((index + 1) * 0x9E3779B9))
 
-let run ?(knobs = default_knobs) ?time_budget ?on_trial ?(domains = 1)
-    ?(mode = `Exact) ~trials ~seed () =
+let run ?(knobs = default_knobs) ?time_budget ?on_trial ?(domains = 1) ~trials
+    ~seed () =
   Tiling_obs.Span.with_ "fuzz.run"
     ~attrs:
       [
@@ -228,14 +228,14 @@ let run ?(knobs = default_knobs) ?time_budget ?on_trial ?(domains = 1)
             Log.warn (fun m ->
                 m "trial %d mismatched: %s — shrinking" index
                   (Case.to_string case));
-            let shrunk, shrink_checks = Shrink.minimize ~mode case in
+            let shrunk, shrink_checks = Shrink.minimize case in
             mismatches :=
               {
                 trial = index;
                 raw = case;
                 shrunk;
                 shrink_checks;
-                result = Oracle.check_case ~mode shrunk;
+                result = Oracle.check_case shrunk;
               }
               :: !mismatches);
         Option.iter (fun f -> f index case result) on_trial;
@@ -252,7 +252,7 @@ let run ?(knobs = default_knobs) ?time_budget ?on_trial ?(domains = 1)
         Array.init (hi - lo) (fun k -> lo + k)
         |> Par.map ~domains (fun index ->
                let case = draw_case knobs (trial_rng ~seed index) in
-               (index, case, Oracle.check_case ~mode case))
+               (index, case, Oracle.check_case case))
         |> Array.iter account;
         i := hi
       done;

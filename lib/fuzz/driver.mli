@@ -70,7 +70,6 @@ val run :
   ?time_budget:float ->
   ?on_trial:(int -> Case.t -> Oracle.result -> unit) ->
   ?domains:int ->
-  ?mode:[ `Exact | `Closed_form ] ->
   trials:int ->
   seed:int ->
   unit ->
@@ -83,11 +82,7 @@ val run :
     in batches of [domains * 4] trials; accounting, shrinking and
     [on_trial] still run sequentially in trial-index order, so the outcome
     is byte-identical to a sequential run.  The time budget is tested
-    between batches rather than between trials.
-
-    [mode] (default [`Exact]) is passed through to {!Oracle.check} and the
-    shrinker, so a [`Closed_form] run differentially fuzzes the
-    extrapolating solver against the simulator. *)
+    between batches rather than between trials. *)
 
 val load_corpus : string -> (Case.t list, string) result
 (** Parses a corpus file: one {!Case.to_string} line per entry, blank

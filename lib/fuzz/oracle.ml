@@ -16,25 +16,11 @@ type result = {
   accesses : int;
 }
 
-let check ?(mode = `Exact) nest cache =
+let check nest cache =
   Tiling_obs.Span.with_ "fuzz.oracle.check"
     ~attrs:[ ("nest", Tiling_obs.Json.String nest.Tiling_ir.Nest.name) ]
     (fun () ->
-      let engine = Tiling_cme.Engine.create nest cache in
-      match
-        match mode with
-        | `Exact -> Ok (Tiling_cme.Estimator.exact engine)
-        | `Closed_form -> Tiling_cme.Closed_form.estimate engine
-      with
-      | Error reason ->
-          (* A refusal is not a model bug: the nest is simply outside the
-             closed form's regime. *)
-          Logs.debug (fun m ->
-              m "oracle: closed form refused %s (%a)"
-                nest.Tiling_ir.Nest.name Tiling_cme.Closed_form.pp_reason
-                reason);
-          { verdict = Inconclusive []; fallbacks = 0; points = 0; accesses = 0 }
-      | Ok est ->
+      let est = Tiling_cme.Estimator.exact (Tiling_cme.Engine.create nest cache) in
       let sim = Tiling_trace.Run.simulate nest cache in
       let deltas = ref [] in
       Array.iteri
@@ -65,7 +51,7 @@ let check ?(mode = `Exact) nest cache =
         accesses = est.Tiling_cme.Estimator.accesses;
       })
 
-let check_case ?mode case = check ?mode (Case.nest case) (Case.cache case)
+let check_case case = check (Case.nest case) (Case.cache case)
 
 let pp_delta ppf d =
   let pr (a, m, c) = Printf.sprintf "acc=%d miss=%d comp=%d" a m c in

@@ -27,20 +27,10 @@ type result = {
   accesses : int;   (** total accesses compared *)
 }
 
-val check :
-  ?mode:[ `Exact | `Closed_form ] ->
-  Tiling_ir.Nest.t ->
-  Tiling_cache.Config.t ->
-  result
-(** Runs both sides on the same nest and geometry and compares per-ref.
-    [mode] selects the CME side: [`Exact] (default) classifies every point
-    through {!Tiling_cme.Estimator.exact}; [`Closed_form] aggregates through
-    {!Tiling_cme.Closed_form.estimate}, so a run differentially validates
-    the extrapolating solver itself.  A closed-form refusal (affine nest,
-    budget) is reported as [Inconclusive []] — outside the regime, not a
-    disagreement. *)
+val check : Tiling_ir.Nest.t -> Tiling_cache.Config.t -> result
+(** Runs both sides on the same nest and geometry and compares per-ref. *)
 
-val check_case : ?mode:[ `Exact | `Closed_form ] -> Case.t -> result
+val check_case : Case.t -> result
 (** {!check} on a regenerated case. *)
 
 val pp_result : result Fmt.t

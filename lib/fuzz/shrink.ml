@@ -2,8 +2,8 @@ open Tiling_kernels
 
 let m_steps = Tiling_obs.Metrics.counter "fuzz.shrink.steps"
 
-let still_fails ?mode case =
-  match (Oracle.check_case ?mode case).Oracle.verdict with
+let still_fails case =
+  match (Oracle.check_case case).Oracle.verdict with
   | Oracle.Mismatch _ -> true
   | Oracle.Agree | Oracle.Inconclusive _ -> false
 
@@ -83,13 +83,13 @@ let candidates (c : Case.t) =
     add (with_spec { s with Random_kernel.tri_ratio = 0. });
   List.rev !out
 
-let minimize ?(max_checks = 400) ?mode case =
+let minimize ?(max_checks = 400) case =
   Tiling_obs.Span.with_ "fuzz.shrink" (fun () ->
       let checks = ref 0 in
       let run c =
         incr checks;
         Tiling_obs.Metrics.incr m_steps;
-        still_fails ?mode c
+        still_fails c
       in
       if not (run case) then (case, !checks)
       else begin

@@ -13,13 +13,8 @@
     shrinking through a generator and is why the corpus stores the seed
     and the full spec. *)
 
-val minimize :
-  ?max_checks:int ->
-  ?mode:[ `Exact | `Closed_form ] ->
-  Case.t ->
-  Case.t * int
+val minimize : ?max_checks:int -> Case.t -> Case.t * int
 (** [minimize case] is [(smallest, checks)] where [checks] counts the
     oracle runs spent (also accumulated in the [fuzz.shrink.steps]
     metric).  [case] itself need not mismatch; then it is returned
-    unchanged with [checks = 0].  Default [max_checks] is 400.  [mode] is
-    the oracle mode reductions are re-checked under (default [`Exact]). *)
+    unchanged with [checks = 0].  Default [max_checks] is 400. *)

@@ -33,46 +33,9 @@ let sim =
         float_of_int (Tiling_cache.Sim.replacement report.Tiling_trace.Run.total));
   }
 
-let m_fallbacks = Tiling_obs.Metrics.counter "symbolic.fallbacks"
-
-(* Classifications the census may spend on one candidate.  Small enough
-   that a refusal comes from the upfront guards, before any
-   classification, so a refused candidate costs about what cme-sample
-   does; large enough that test-sized nests still get the exact census. *)
-let census_budget = 16_384
-
-let symbolic =
-  {
-    name = "symbolic";
-    cost =
-      (fun cache nest ~points ->
-        let engine = Tiling_cme.Engine.create nest cache in
-        match Tiling_cme.Closed_form.estimate ~budget:census_budget engine with
-        | Ok report ->
-            float_of_int (Tiling_cme.Estimator.replacement report)
-        | Error reason ->
-            Tiling_obs.Metrics.incr m_fallbacks;
-            Logs.debug (fun m ->
-                m "symbolic backend sampling (%a) on %s"
-                  Tiling_cme.Closed_form.pp_reason reason
-                  nest.Tiling_ir.Nest.name);
-            let report = Tiling_cme.Estimator.sample_at engine points in
-            (* The census reports whole-space counts; keep sampled
-               candidates on the same scale so one search never compares
-               sampled against census magnitudes. *)
-            let scale =
-              if report.Tiling_cme.Estimator.accesses = 0 then 0.
-              else
-                float_of_int
-                  (Tiling_ir.Nest.trip_count nest
-                  * Array.length nest.Tiling_ir.Nest.refs)
-                /. float_of_int report.Tiling_cme.Estimator.accesses
-            in
-            float_of_int (Tiling_cme.Estimator.replacement report) *. scale);
-  }
-
+let symbolic = { cme_sample with name = "symbolic" }
 let default = cme_sample
-let all = [ cme_sample; cme_exact; sim; symbolic ]
+let all = [ cme_sample; cme_exact; sim ]
 let names = List.map (fun b -> b.name) all
 
 let of_string s =

@@ -40,19 +40,19 @@ val sim : t
     Name: ["sim"]. *)
 
 val symbolic : t
-(** The exact closed-form census ({!Tiling_cme.Closed_form.estimate})
-    where it fits a small classification budget, CME point sampling
-    elsewhere.  Candidates the census refuses (affine-coupled bounds, or
-    more classifications than the budget allows — every flagship-sized
-    nest) are scored by {!Tiling_cme.Estimator.sample_at} over all the
-    embedded points, scaled to whole-space magnitude so objectives stay
-    comparable within one search; each such candidate increments the
-    [symbolic.fallbacks] metric.  Name: ["symbolic"]. *)
+(** {!cme_sample} under the name ["symbolic"], outside {!all}, so no CLI
+    flag or wire request selects it.  It is kept only because the traced
+    symbolic pass of [perfbench/tile_run.ml] names it, and [perfbench/]
+    changes only together with the benchmark definition, so that runs
+    stay comparable.  The next benchmark change should drop that pass,
+    and then this value. *)
 
 val default : t
 (** [cme_sample]. *)
 
 val all : t list
+(** [cme_sample; cme_exact; sim] — the backends a name selects. *)
+
 val names : string list
 
 val of_string : string -> (t, string) result

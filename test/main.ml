@@ -35,7 +35,6 @@ let () =
       ("random_kernels", Test_random_kernels.suite);
       ("polyhedra", Test_polyhedra.suite);
       ("symbolic", Test_symbolic.suite);
-      ("closed_form", Test_closed_form.suite);
       ("codegen", Test_codegen.suite);
       ("hierarchy", Test_hierarchy.suite);
       ("order", Test_order.suite);

@@ -18,11 +18,14 @@ let test_backend_of_string () =
     let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
     go 0
   in
-  (match Backend.of_string "nope" with
-  | Ok _ -> Alcotest.fail "unknown backend accepted"
-  | Error m ->
-      Alcotest.(check bool) "error lists names" true
-        (List.for_all (contains m) Backend.names));
+  List.iter
+    (fun name ->
+      match Backend.of_string name with
+      | Ok _ -> Alcotest.failf "unknown backend %s accepted" name
+      | Error m ->
+          Alcotest.(check bool) "error lists names" true
+            (contains m "(expected one of cme-sample, cme-exact, sim)"))
+    [ "nope"; "symbolic" ];
   Alcotest.(check string) "default is the paper's sampler" "cme-sample"
     Backend.default.Backend.name
 
@@ -213,6 +216,38 @@ let test_triangular_sim_agrees_with_exact_cme () =
       ("syrk", Tiling_kernels.Kernels.syrk);
     ]
 
+let test_cme_sample_ranks_flagship () =
+  (* The production objective at the geometry searches really run on: at
+     dm8k, cme-sample over the paper's 164-point sample (drawn once from
+     the untiled nest and embedded per tiling) must order each pair of a
+     worse and a better tiling as the simulator does. *)
+  let cache = Tiling_cache.Config.dm8k in
+  let check_pair name nest worse better =
+    let sample =
+      Tiling_core.Sample.create ~seed:Tiling_core.Tiler.default_opts.seed nest
+    in
+    let cost (backend : Backend.t) tiles =
+      backend.cost cache
+        (Tiling_ir.Transform.tile nest tiles)
+        ~points:(Tiling_core.Sample.embed sample ~tiles)
+    in
+    Alcotest.(check bool)
+      (name ^ ": simulator orders the pair") true
+      (cost Backend.sim worse > cost Backend.sim better);
+    let sw = cost Backend.cme_sample worse
+    and sb = cost Backend.cme_sample better in
+    if not (sw > sb) then
+      Alcotest.failf "%s: cme-sample scores %.0f vs %.0f, simulator disagrees"
+        name sw sb
+  in
+  let mm = Tiling_kernels.Kernels.mm 64 in
+  check_pair "mm64 untiled vs 8x8x8" mm
+    (Tiling_ir.Transform.tile_spans mm)
+    [| 8; 8; 8 |];
+  check_pair "t2d200 1x75 vs 8x8"
+    (Tiling_kernels.Kernels.t2d 200)
+    [| 1; 75 |] [| 8; 8 |]
+
 let suite =
   [
     Alcotest.test_case "backend lookup" `Quick test_backend_of_string;
@@ -229,4 +264,6 @@ let suite =
     Alcotest.test_case "sim-backend GA search" `Quick test_sim_backend_search;
     Alcotest.test_case "exact and sim backends search identically" `Quick
       test_exact_and_sim_backends_search_identically;
+    Alcotest.test_case "cme-sample ranks flagship tilings like the simulator"
+      `Slow test_cme_sample_ranks_flagship;
   ]

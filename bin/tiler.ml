@@ -952,21 +952,27 @@ let print_flame ppf trace =
     (total_us /. 1000.)
     (if dropped > 0 then Printf.sprintf " (%d spans dropped)" dropped else "");
   walk 0 (group spans);
-  (* Memo effectiveness, from the request.eval.stats instants. *)
-  let hits = ref 0 and fresh = ref 0 in
+  (* Memo effectiveness, from the request.eval.stats instants; a search
+     answered from the store has none, only its store.answer lookup. *)
+  let hits = ref 0 and fresh = ref 0 and stats = ref 0 and lookups = ref 0 in
   let rec scan node =
-    (if str (J.member "name" node) = "request.eval.stats" then
-       match J.member "attrs" node with
-       | Some attrs ->
-           hits := !hits + int_of_float (num (J.member "memo_hits" attrs));
-           fresh := !fresh + int_of_float (num (J.member "fresh" attrs))
-       | None -> ());
+    (match str (J.member "name" node) with
+    | "request.eval.stats" -> (
+        incr stats;
+        match J.member "attrs" node with
+        | Some attrs ->
+            hits := !hits + int_of_float (num (J.member "memo_hits" attrs));
+            fresh := !fresh + int_of_float (num (J.member "fresh" attrs))
+        | None -> ())
+    | "store.answer" -> incr lookups
+    | _ -> ());
     List.iter scan (children node)
   in
   List.iter scan spans;
   if !hits + !fresh > 0 then
     Fmt.pf ppf "  memo: %d hits, %d fresh (%.1f%% hit rate)@." !hits !fresh
-      (100. *. float_of_int !hits /. float_of_int (!hits + !fresh))
+      (100. *. float_of_int !hits /. float_of_int (!hits + !fresh));
+  if !stats = 0 && !lookups > 0 then Fmt.pf ppf "  answer: served from store@."
 
 let print_progress_event ev =
   let module J = Tiling_obs.Json in

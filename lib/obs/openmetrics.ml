@@ -60,10 +60,11 @@ let inventory =
     ("server.requests.error", "Requests completed with an error response");
     ("server.requests.ok", "Requests completed successfully");
     ("server.requests.timeout", "Requests that exceeded their deadline");
+    ("server.store.answer_hits", "Searches answered whole from a stored final answer");
     ("server.store.appends", "Results appended to the persistent store");
     ("server.store.compactions", "Store compactions performed");
-    ("server.store.entries", "Distinct fingerprints in the persistent store");
-    ("server.store.hits", "Requests answered from the persistent store");
+    ("server.store.entries", "Live records (candidates and answers) in the persistent store");
+    ("server.store.hits", "Store lookups served, answers and candidates");
     ("server.store.misses", "Store lookups that missed");
     ("server.store.records", "Records in the store file (including superseded)");
     ("server.store.refreshes", "Store reconciliations with the shared log");

@@ -209,11 +209,11 @@ let record_at ?(attrs = []) ctx name ~ts_us ~dur_us =
 
 (* ------------------------------------------------------------------ *)
 
-let with_ ?(attrs = []) name f =
+let with_ ?(attrs = []) ?start_us name f =
   let amb = current () in
   if (not !enabled_flag) && amb = None then f ()
   else begin
-    let t0 = now_us () in
+    let t0 = match start_us with Some t -> t | None -> now_us () in
     let child =
       Option.map
         (fun c ->

@@ -33,8 +33,12 @@ val clear : unit -> unit
 (** Drop all recorded events and reset the drop counter (global buffer
     only; live trace contexts are unaffected). *)
 
-val with_ : ?attrs:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
+val with_ :
+  ?attrs:(string * Json.t) list -> ?start_us:float -> string -> (unit -> 'a) -> 'a
 (** [with_ name f] times [f ()] and records a complete ("ph":"X") event.
+    [start_us] (a {!now_us} reading) backdates the span's start, so a
+    span can begin exactly where a phase recorded with {!record_at}
+    ended.
     The scope is recorded even when [f] raises.  Nesting is expressed by
     containment of time ranges, which is how the Chrome viewer stacks
     slices on a track.  If a trace context is ambient on the calling

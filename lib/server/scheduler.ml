@@ -69,13 +69,19 @@ let record_latency t seconds =
 let run_job t job =
   let started = Unix.gettimeofday () in
   let queued_s = started -. job.enqueued_at in
-  (* The queue phase ends here, whoever we are about to run (or fail): a
-     trace always decomposes into queue wait + run time. *)
-  (match job.trace with
-  | Some ctx ->
-      Span.record_at ctx "request.queue" ~ts_us:job.enq_us
-        ~dur_us:(Span.now_us () -. job.enq_us)
-  | None -> ());
+  (* The queue phase ends here, whoever we are about to run (or fail),
+     and the run phase starts at the same instant: a trace always
+     decomposes into queue wait + run time, even for a request answered
+     in tens of microseconds. *)
+  let dequeued_us =
+    match job.trace with
+    | Some ctx ->
+        let now = Span.now_us () in
+        Span.record_at ctx "request.queue" ~ts_us:job.enq_us
+          ~dur_us:(now -. job.enq_us);
+        now
+    | None -> 0.
+  in
   let key = Atomic.fetch_and_add t.next_job 1 in
   Mutex.protect t.lock (fun () ->
       Hashtbl.replace t.running key
@@ -119,7 +125,7 @@ let run_job t job =
       match job.trace with
       | Some ctx ->
           Span.with_ambient (Some ctx) (fun () ->
-              Span.with_ "request.run" (fun () ->
+              Span.with_ ~start_us:dequeued_us "request.run" (fun () ->
                   job.work ~cancelled:(fun () -> past job.deadline)))
       | None -> job.work ~cancelled:(fun () -> past job.deadline)
     in

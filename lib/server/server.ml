@@ -157,6 +157,24 @@ let eval_stats_instant ~phase eval =
 
 let sync_store st = Option.iter Store.sync st.store
 
+(* A final answer depends on the search options as well as on the
+   fingerprint: GA parameters and restarts change which candidates are
+   visited, so they change the winner.  Marshal covers every field of
+   those records, present and future, so a binary with other defaults
+   never serves a stale answer; [No_sharing] makes equal values marshal
+   equally whatever their physical sharing. *)
+let answer_key ~fingerprint ?(popts : Tiling_core.Padder.opts option)
+    (topts : Tiling_core.Tiler.opts) =
+  let options =
+    ( (topts.ga, topts.restarts, topts.sample_points),
+      Option.map
+        (fun (p : Tiling_core.Padder.opts) ->
+          (p.ga, p.restarts, p.sample_points, p.max_intra, p.max_inter))
+        popts )
+  in
+  Printf.sprintf "%s|%s" fingerprint
+    (Digest.to_hex (Digest.string (Marshal.to_string options [ Marshal.No_sharing ])))
+
 let setup_json (spec : Tiling_kernels.Kernels.spec) n
     (cache : Tiling_cache.Config.t) =
   [
@@ -170,6 +188,34 @@ let setup_json (spec : Tiling_kernels.Kernels.spec) n
           ("assoc", Json.Int cache.Tiling_cache.Config.assoc);
         ] );
   ]
+
+(* The shape every search reply shares.  [served] names the layer that
+   produced the outcome and sits beside it, so outcomes compare equal
+   whichever layer served them. *)
+let search_reply setup ~served outcome =
+  Json.Obj (setup @ [ ("outcome", outcome); ("served", Json.String served) ])
+
+(* Answer a search from the store when it holds the final answer;
+   otherwise run [search] and store what it returns.  A search that
+   raises (deadline, crash) stores no answer, only the candidate records
+   its evaluations already appended. *)
+let answer_or_search st ~key ~setup search =
+  refresh_store st;
+  let cached =
+    Option.bind st.store (fun store ->
+        Span.with_ "store.answer" (fun () ->
+            Option.bind (Store.find_answer store ~key) (fun text ->
+                Result.to_option (Json.of_string text))))
+  in
+  match cached with
+  | Some outcome -> search_reply setup ~served:"answer" outcome
+  | None ->
+      let outcome = search () in
+      Option.iter
+        (fun store -> Store.append_answer store ~key (Json.to_string outcome))
+        st.store;
+      sync_store st;
+      search_reply setup ~served:"search" outcome
 
 let handle_analyze _st params =
   let* spec, n, nest, cache = kernel_setup params in
@@ -204,7 +250,6 @@ let handle_tile st params =
   in
   Ok
     ( (fun ~cancelled ->
-        refresh_store st;
         let evals = ref [] in
         let opts =
           {
@@ -218,11 +263,13 @@ let handle_tile st params =
                 attach st ~fingerprint ~cancelled eval);
           }
         in
-        let o = Tiling_core.Tiler.optimize ~opts nest cache in
-        List.iter (eval_stats_instant ~phase:"tile") !evals;
-        sync_store st;
-        Json.Obj
-          (setup_json spec n cache @ [ ("outcome", Tiling_core.Tiler.to_json o) ])),
+        answer_or_search st
+          ~key:(answer_key ~fingerprint opts)
+          ~setup:(setup_json spec n cache)
+          (fun () ->
+            let o = Tiling_core.Tiler.optimize ~opts nest cache in
+            List.iter (eval_stats_instant ~phase:"tile") !evals;
+            Tiling_core.Tiler.to_json o)),
       Some fingerprint )
 
 let handle_pad_tile st params =
@@ -239,7 +286,6 @@ let handle_pad_tile st params =
   in
   Ok
     ( (fun ~cancelled ->
-        refresh_store st;
         let pad_evals = ref [] and tile_evals = ref [] in
         let popts =
           {
@@ -265,13 +311,14 @@ let handle_pad_tile st params =
                 attach st ~fingerprint:(fp "tile") ~cancelled eval);
           }
         in
-        let o = Tiling_core.Optimizer.pad_then_tile ~topts ~popts nest cache in
-        List.iter (eval_stats_instant ~phase:"pad") !pad_evals;
-        List.iter (eval_stats_instant ~phase:"tile") !tile_evals;
-        sync_store st;
-        Json.Obj
-          (setup_json spec n cache
-          @ [ ("outcome", Tiling_core.Optimizer.combined_to_json o) ])),
+        answer_or_search st
+          ~key:(answer_key ~fingerprint:(fp "answer") ~popts topts)
+          ~setup:(setup_json spec n cache)
+          (fun () ->
+            let o = Tiling_core.Optimizer.pad_then_tile ~topts ~popts nest cache in
+            List.iter (eval_stats_instant ~phase:"pad") !pad_evals;
+            List.iter (eval_stats_instant ~phase:"tile") !tile_evals;
+            Tiling_core.Optimizer.combined_to_json o)),
       (* The whole combined request is the coalescible unit; its key must
          differ from a plain "tile" of the same setup, hence the method
          prefix carried by the phase fingerprints. *)
@@ -332,7 +379,9 @@ let stats_json ?(events = 0) st =
             ("entries", Json.Int (Store.entries s));
             ("records", Json.Int (Store.records s));
             ("fingerprints", Json.Int (Store.fingerprints s));
+            ("answers", Json.Int (Store.answers s));
             ("hits", Json.Int (Store.hits s));
+            ("answer_hits", Json.Int (Store.answer_hits s));
             ("misses", Json.Int (Store.misses s));
             ("appends", Json.Int (Store.appends s));
             ("compactions", Json.Int (Store.compactions s));

@@ -36,6 +36,21 @@ val default_config : config
 (** [unix:tiler.sock], 2 workers, 64 slots, no store, no deadline,
     1 domain, 1 MiB lines, no HTTP metrics listener. *)
 
+val answer_key :
+  fingerprint:string ->
+  ?popts:Tiling_core.Padder.opts ->
+  Tiling_core.Tiler.opts ->
+  string
+(** The store key of a search's final answer: [fingerprint] (see
+    {!Store.fingerprint}) plus a digest of the options that steer the
+    search — the GA parameters, [restarts] and [sample_points] of the
+    tiler options, and for [pad-tile] of the padder options too, with
+    their padding bounds.  [seed] and [backend] are already in the
+    fingerprint; [domains] and the hooks never change an answer and are
+    left out.  [tile] and [pad-tile] replies are served from the answer
+    under this key when the store holds one, and carry
+    ["served": "answer"] (else ["search"]) beside their outcome. *)
+
 val run : config -> (unit, string) result
 (** Serve until shutdown; [Error] only for startup failures (bind or
     store open).  Installs SIGTERM/SIGINT handlers and ignores

@@ -6,6 +6,7 @@ let m_misses = Metrics.counter "server.store.misses"
 let m_appends = Metrics.counter "server.store.appends"
 let m_compactions = Metrics.counter "server.store.compactions"
 let m_refreshes = Metrics.counter "server.store.refreshes"
+let m_answer_hits = Metrics.counter "server.store.answer_hits"
 let g_entries = Metrics.gauge "server.store.entries"
 let g_records = Metrics.gauge "server.store.records"
 
@@ -21,6 +22,10 @@ type t = {
          process, and compaction must close/reopen the log. *)
   lock : Mutex.t;
   tables : (string, float Memo.Table.t) Hashtbl.t;
+  answers : (string, string) Hashtbl.t;
+      (* answer key -> outcome JSON, still percent-escaped: it is only
+         unescaped when a lookup hits, so loading the log never pays for
+         answers nobody asks for *)
   mutable records : int;
       (* data lines in the log + pending buffer, dead ones included *)
   mutable live : int;
@@ -34,10 +39,12 @@ type t = {
          we fold, so by the log's last-write-wins order ours is newer —
          critical when a sibling's compaction forces a full re-read of
          our own older, durable records. *)
+  pending_answers : (string, unit) Hashtbl.t;  (* the same, for answers *)
   compact_min_dead : int;
   mutable skipped : int;
   hits : int Atomic.t;
   misses : int Atomic.t;
+  answer_hits : int Atomic.t;
   appends : int Atomic.t;
   compactions : int Atomic.t;
 }
@@ -64,10 +71,12 @@ let rec write_sub fd s off len =
 
 let write_fully fd s = write_sub fd s 0 (String.length s)
 
-(* One record is one line: [r <fingerprint> <v1,v2,..> <cost>].  The
-   fingerprint is percent-escaped so whitespace and newlines can never
-   break framing; the cost is printed as a hex float ("%h") for exact
-   binary round-tripping. *)
+(* One record is one line, of one of two kinds:
+   - [r <fingerprint> <v1,v2,..> <cost>]: one candidate's cost, printed
+     as a hex float ("%h") for exact binary round-tripping;
+   - [a <answer key> <outcome JSON>]: one search's final answer.
+   Keys and JSON are percent-escaped so whitespace and newlines can
+   never break framing. *)
 
 let escape s =
   let plain c =
@@ -136,6 +145,43 @@ let parse_record line =
       | _ -> None)
   | _ -> None
 
+let answer_line ~key escaped_json = Printf.sprintf "a %s %s" (escape key) escaped_json
+
+(* Framing check for an answer payload without parsing it: one JSON
+   object whose brackets balance outside strings.  A line cut short
+   anywhere (a crashed writer) leaves a bracket or a string open.  The
+   escaping only touches whitespace, controls and '%', so the escaped
+   text can be scanned as is. *)
+let balanced_object s =
+  let n = String.length s in
+  let rec go i depth in_string =
+    if i >= n then depth = 0 && not in_string
+    else if depth = 0 && i > 0 then false
+    else
+      match s.[i] with
+      | '\\' when in_string -> go (i + 2) depth true
+      | '"' -> go (i + 1) depth (not in_string)
+      | _ when in_string -> go (i + 1) depth true
+      | '{' | '[' -> go (i + 1) (depth + 1) false
+      | '}' | ']' -> depth > 0 && go (i + 1) (depth - 1) false
+      | _ -> go (i + 1) depth false
+  in
+  n > 0 && s.[0] = '{' && go 0 0 false
+
+let parse_answer line =
+  let n = String.length line in
+  if n < 3 || line.[1] <> ' ' then None
+  else
+    match String.index_from_opt line 2 ' ' with
+    | None -> None
+    | Some j -> (
+        let payload = String.sub line (j + 1) (n - j - 1) in
+        match unescape (String.sub line 2 (j - 2)) with
+        | Some key when (not (String.contains payload ' ')) && balanced_object payload
+          ->
+            Some (key, payload)
+        | _ -> None)
+
 let table_for t fingerprint =
   match Hashtbl.find_opt t.tables fingerprint with
   | Some tbl -> tbl
@@ -165,14 +211,28 @@ let compact_min_default () =
 let fold_line t line =
   if line <> "" && line <> header then begin
     t.records <- t.records + 1;
-    match parse_record line with
-    | Some (fp, key, cost) ->
-        if not (Hashtbl.mem t.pending_keys (fp, key)) then begin
-          let tbl = table_for t fp in
-          if not (Memo.Table.mem tbl key) then t.live <- t.live + 1;
-          Memo.Table.replace tbl key cost
-        end
-    | None -> t.skipped <- t.skipped + 1
+    let well_formed =
+      if line.[0] = 'a' then
+        match parse_answer line with
+        | Some (key, payload) ->
+            if not (Hashtbl.mem t.pending_answers key) then begin
+              if not (Hashtbl.mem t.answers key) then t.live <- t.live + 1;
+              Hashtbl.replace t.answers key payload
+            end;
+            true
+        | None -> false
+      else
+        match parse_record line with
+        | Some (fp, key, cost) ->
+            if not (Hashtbl.mem t.pending_keys (fp, key)) then begin
+              let tbl = table_for t fp in
+              if not (Memo.Table.mem tbl key) then t.live <- t.live + 1;
+              Memo.Table.replace tbl key cost
+            end;
+            true
+        | None -> false
+    in
+    if not well_formed then t.skipped <- t.skipped + 1
   end
 
 let open_writer path =
@@ -240,7 +300,8 @@ let write_pending_locked t =
     write_fully t.fd (Buffer.contents t.pending);
     Buffer.clear t.pending;
     t.pending_records <- 0;
-    Hashtbl.reset t.pending_keys
+    Hashtbl.reset t.pending_keys;
+    Hashtbl.reset t.pending_answers
   end;
   (* Own bytes are already in [tables]; never re-read them. *)
   t.read_pos <- (Unix.fstat t.fd).Unix.st_size
@@ -261,6 +322,11 @@ let compact_locked t =
           output_char oc '\n')
         tbl)
     t.tables;
+  Hashtbl.iter
+    (fun key payload ->
+      output_string oc (answer_line ~key payload);
+      output_char oc '\n')
+    t.answers;
   close_out oc;
   (try Unix.close t.fd with Unix.Unix_error _ -> ());
   Sys.rename tmp t.path;
@@ -323,6 +389,7 @@ let open_ ?compact_min_dead ~path () =
               lockfd;
               lock = Mutex.create ();
               tables = Hashtbl.create 16;
+              answers = Hashtbl.create 16;
               records = 0;
               live = 0;
               read_pos = 0;
@@ -330,15 +397,30 @@ let open_ ?compact_min_dead ~path () =
               pending = Buffer.create 4096;
               pending_records = 0;
               pending_keys = Hashtbl.create 16;
+              pending_answers = Hashtbl.create 16;
               compact_min_dead;
               skipped = 0;
               hits = Atomic.make 0;
               misses = Atomic.make 0;
+              answer_hits = Atomic.make 0;
               appends = Atomic.make 0;
               compactions = Atomic.make 0;
             }
           in
           let ic = open_in_bin path in
+          (* A log not ending in a newline ends in a line torn by a
+             crashed writer: skip it, and terminate it so our first
+             append starts a fresh line. *)
+          let len = in_channel_length ic in
+          let torn =
+            len > 0
+            && begin
+                 seek_in ic (len - 1);
+                 let c = input_char ic in
+                 seek_in ic 0;
+                 c <> '\n'
+               end
+          in
           let first = try Some (input_line ic) with End_of_file -> None in
           if first <> Some header then begin
             close_in_noerr ic;
@@ -347,9 +429,12 @@ let open_ ?compact_min_dead ~path () =
           end;
           (try
              while true do
-               fold_line t (input_line ic)
+               let line = input_line ic in
+               if torn && pos_in ic = len then t.skipped <- t.skipped + 1
+               else fold_line t line
              done
            with End_of_file -> close_in_noerr ic);
+          if torn then write_fully fd "\n";
           let st = Unix.fstat fd in
           t.read_pos <- st.Unix.st_size;
           t.stamp <- (st.Unix.st_dev, st.Unix.st_ino);
@@ -406,6 +491,32 @@ let append t ~fingerprint key cost =
       Buffer.add_string t.pending (record_line ~fingerprint key cost);
       Buffer.add_char t.pending '\n')
 
+let find_answer t ~key =
+  let r =
+    Option.bind (Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.answers key)) unescape
+  in
+  (match r with
+  | Some _ ->
+      Atomic.incr t.hits;
+      Metrics.incr m_hits;
+      Atomic.incr t.answer_hits;
+      Metrics.incr m_answer_hits
+  | None ->
+      Atomic.incr t.misses;
+      Metrics.incr m_misses);
+  r
+
+let append_answer t ~key json =
+  let payload = escape json in
+  Mutex.protect t.lock (fun () ->
+      if not (Hashtbl.mem t.answers key) then t.live <- t.live + 1;
+      Hashtbl.replace t.answers key payload;
+      t.records <- t.records + 1;
+      t.pending_records <- t.pending_records + 1;
+      Hashtbl.replace t.pending_answers key ();
+      Buffer.add_string t.pending (answer_line ~key payload);
+      Buffer.add_char t.pending '\n')
+
 let tier t ~fingerprint =
   {
     Memo.find = (fun key -> find t ~fingerprint key);
@@ -431,7 +542,9 @@ let close t =
 let entries t = Mutex.protect t.lock (fun () -> t.live)
 let records t = Mutex.protect t.lock (fun () -> t.records)
 let fingerprints t = Mutex.protect t.lock (fun () -> Hashtbl.length t.tables)
+let answers t = Mutex.protect t.lock (fun () -> Hashtbl.length t.answers)
 let hits t = Atomic.get t.hits
+let answer_hits t = Atomic.get t.answer_hits
 let misses t = Atomic.get t.misses
 let appends t = Atomic.get t.appends
 let compactions t = Atomic.get t.compactions

@@ -1,15 +1,20 @@
-(** The daemon's persistent result store: a disk-backed tier for the
-    {!Tiling_search.Memo} of every search the daemon runs.
+(** The daemon's persistent result store: a cache of final search
+    answers, backed by a disk tier for the {!Tiling_search.Memo} of every
+    search the daemon runs.
 
-    PR 4 measured that >90% of candidate evaluations inside one search
-    are shared-cache hits — and a daemon sees the *same* searches again
-    across requests and restarts.  The store captures each fresh
-    candidate evaluation as one record in an append-only log, keyed by
-    the search's {e fingerprint} (a string digesting everything that
-    determines objective values: method, kernel, geometry, cache,
-    backend, seed) plus the packed candidate key.  A restarted daemon
-    loads the log once and then answers repeat queries without
-    re-solving a single candidate.
+    A daemon sees the {e same} searches again across requests and
+    restarts, and a search is deterministic in its inputs.  The store
+    keeps two kinds of record in one append-only log:
+
+    - {b answers}: the final outcome JSON of a search, keyed by an
+      {e answer key} (the search fingerprint plus a digest of the search
+      options).  A repeat search is one lookup;
+    - {b candidates}: each fresh candidate evaluation, keyed by the
+      search's {e fingerprint} (a string digesting everything that
+      determines objective values: method, kernel, geometry, cache,
+      backend, seed) plus the packed candidate key.  A search cut short
+      by its deadline leaves its finished work here, and a search that
+      differs only in its options replays over these records.
 
     Properties:
 
@@ -64,7 +69,9 @@ val fingerprint :
     ["tile|mm|64|8192:32:1|cme-sample|20020815"].  Everything the
     objective value of a candidate depends on must be in here; GA
     population parameters (restarts, generation counts) must not be —
-    they change which candidates are visited, never their values. *)
+    they change which candidates are visited, never their values.  They
+    do change a search's final answer, so answer keys add a digest of
+    them ({!Server.answer_key}). *)
 
 val find : t -> fingerprint:string -> Tiling_search.Memo.Key.t -> float option
 (** Bumps the store hit/miss counters. *)
@@ -72,6 +79,18 @@ val find : t -> fingerprint:string -> Tiling_search.Memo.Key.t -> float option
 val append : t -> fingerprint:string -> Tiling_search.Memo.Key.t -> float -> unit
 (** Record one evaluation (in memory immediately; on disk at the next
     {!sync} / buffered-channel flush). *)
+
+val find_answer : t -> key:string -> string option
+(** The answer stored under [key], byte-for-byte as it was appended.
+    Bumps the store hit/miss counters, and the answer-hit counter on a
+    hit. *)
+
+val append_answer : t -> key:string -> string -> unit
+(** Record one final answer: the text of one JSON object.  Like
+    {!append}, it is in memory immediately and on disk at the next
+    {!sync}.  On load, an answer line whose object is cut short is
+    skipped as malformed; its text is not parsed until a lookup needs
+    it. *)
 
 val tier : t -> fingerprint:string -> float Tiling_search.Memo.tier
 (** The {!find}/{!append} pair curried over one fingerprint, shaped for
@@ -95,13 +114,19 @@ val close : t -> unit
 
 (** {2 Introspection (for [stats] and tests)} *)
 
-val entries : t -> int  (** live records (distinct fingerprint+key pairs) *)
+val entries : t -> int
+(** live records: distinct fingerprint+key pairs plus distinct answer
+    keys *)
 
 val records : t -> int  (** log lines, dead ones included *)
 
 val fingerprints : t -> int
 
-val hits : t -> int
+val answers : t -> int  (** distinct answer keys *)
+
+val hits : t -> int  (** lookups served, answers included *)
+
+val answer_hits : t -> int
 
 val misses : t -> int
 

@@ -124,6 +124,142 @@ let test_store_compaction () =
       Store.close s);
   Sys.remove path
 
+(* Final answers: a second record kind in the same log. *)
+
+let open_ok ?compact_min_dead path =
+  match Store.open_ ?compact_min_dead ~path () with
+  | Error m -> Alcotest.fail m
+  | Ok s -> s
+
+let test_store_answer_roundtrip () =
+  let path = temp_path ".store" in
+  let akey = "tile|mm|12|8192:32:1|cme-sample|11|0f0f" in
+  let hostile_key = "odd key\nwith%percent" in
+  let answer =
+    {|{"tiles":[4,12,3],"name":"a b\tc%20d","nested":{"l":[[],{}]},"x":1.5e-07}|}
+  in
+  let s = open_ok path in
+  Alcotest.(check (option string)) "absent before" None (Store.find_answer s ~key:akey);
+  Store.append_answer s ~key:akey answer;
+  Store.append_answer s ~key:hostile_key "{}";
+  Store.append s ~fingerprint:"fp" (key [| 1 |]) 1.0;
+  Store.sync s;
+  Store.close s;
+  let s = open_ok path in
+  Alcotest.(check int) "no skipped lines" 0 (Store.skipped_on_load s);
+  Alcotest.(check int) "two answers" 2 (Store.answers s);
+  Alcotest.(check int) "answers and candidates are live" 3 (Store.entries s);
+  Alcotest.(check (option string)) "answer back byte-for-byte" (Some answer)
+    (Store.find_answer s ~key:akey);
+  Alcotest.(check (option string)) "hostile key" (Some "{}")
+    (Store.find_answer s ~key:hostile_key);
+  Alcotest.(check (option string)) "other key" None
+    (Store.find_answer s ~key:(akey ^ "x"));
+  Alcotest.(check int) "answer lookups count as store hits" 2 (Store.hits s);
+  Alcotest.(check int) "and as answer hits" 2 (Store.answer_hits s);
+  Alcotest.(check int) "the missed lookup" 1 (Store.misses s);
+  Store.close s;
+  Sys.remove path
+
+let test_store_answer_compaction () =
+  let path = temp_path ".store" in
+  let s = open_ok ~compact_min_dead:3 path in
+  for i = 1 to 3 do
+    Store.append_answer s ~key:"k" (Printf.sprintf {|{"v":%d}|} i);
+    Store.append s ~fingerprint:"fp" (key [| 1 |]) (float_of_int i)
+  done;
+  Store.append_answer s ~key:"other" {|{"o":[1]}|};
+  Store.sync s;
+  Alcotest.(check int) "compaction ran" 1 (Store.compactions s);
+  Alcotest.(check int) "log rewritten to the live set" 3 (Store.records s);
+  Store.close s;
+  let s = open_ok path in
+  Alcotest.(check int) "compacted log loads clean" 0 (Store.skipped_on_load s);
+  Alcotest.(check (option string)) "last answer wins" (Some {|{"v":3}|})
+    (Store.find_answer s ~key:"k");
+  Alcotest.(check (option (float 0.))) "candidate kept too" (Some 3.0)
+    (Store.find s ~fingerprint:"fp" (key [| 1 |]));
+  Store.close s;
+  Sys.remove path
+
+let test_store_answer_truncation () =
+  let path = temp_path ".store" in
+  let s = open_ok path in
+  Store.append_answer s ~key:"good" {|{"tiles":[1,2]}|};
+  Store.sync s;
+  Store.close s;
+  let add text =
+    let oc = open_out_gen [ Open_append ] 0o644 path in
+    output_string oc text;
+    close_out oc
+  in
+  (* a torn answer that a later writer terminated, then an intact one,
+     then a crash mid-append *)
+  add "a cut {\"tiles\":[1,2]\n";
+  add "a also-good {\"x\":\"}\"}\n";
+  add "a torn {\"tiles\":[1,2]}";
+  let s = open_ok path in
+  Alcotest.(check int) "both truncated answers skipped" 2 (Store.skipped_on_load s);
+  Alcotest.(check int) "intact answers survive" 2 (Store.answers s);
+  Alcotest.(check (option string)) "terminated cut line" None
+    (Store.find_answer s ~key:"cut");
+  Alcotest.(check (option string)) "torn tail" None (Store.find_answer s ~key:"torn");
+  Alcotest.(check (option string)) "brace inside a string" (Some {|{"x":"}"}|})
+    (Store.find_answer s ~key:"also-good");
+  (* the torn tail was terminated, so our next record is a line of its own *)
+  Store.append_answer s ~key:"after" "{}";
+  Store.sync s;
+  Store.close s;
+  let s = open_ok path in
+  Alcotest.(check (option string)) "append after a torn tail" (Some "{}")
+    (Store.find_answer s ~key:"after");
+  Store.close s;
+  Sys.remove path
+
+let test_store_answer_shared () =
+  let path = temp_path ".store" in
+  let a = open_ok path and b = open_ok path in
+  Store.append_answer a ~key:"k" {|{"from":"a"}|};
+  Alcotest.(check (option string)) "not on disk before a syncs" None
+    (Store.find_answer b ~key:"k");
+  Store.sync a;
+  Store.refresh b;
+  Alcotest.(check (option string)) "b folds a's answer in" (Some {|{"from":"a"}|})
+    (Store.find_answer b ~key:"k");
+  Store.close a;
+  Store.close b;
+  Sys.remove path;
+  if Sys.file_exists (path ^ ".lock") then Sys.remove (path ^ ".lock")
+
+let test_answer_key_covers_options () =
+  let module Tiler = Tiling_core.Tiler in
+  let module Padder = Tiling_core.Padder in
+  let fingerprint = "tile|mm|12|8192:32:1|cme-sample|11" in
+  let key ?popts topts = Server.answer_key ~fingerprint ?popts topts in
+  let base = key Tiler.default_opts in
+  let differs what k =
+    Alcotest.(check bool) (what ^ " changes the key") true (k <> base)
+  in
+  differs "restarts" (key { Tiler.default_opts with restarts = 1 });
+  differs "GA population"
+    (key
+       {
+         Tiler.default_opts with
+         ga = { Tiler.default_opts.ga with Tiling_ga.Engine.population = 20 };
+       });
+  differs "sample size" (key { Tiler.default_opts with sample_points = Some 100 });
+  differs "padder options" (key ~popts:Padder.default_opts Tiler.default_opts);
+  Alcotest.(check bool) "padding bounds change the pad-tile key" true
+    (key ~popts:Padder.default_opts Tiler.default_opts
+    <> key ~popts:{ Padder.default_opts with max_intra = 3 } Tiler.default_opts);
+  Alcotest.(check string) "domains leave the key alone" base
+    (key { Tiler.default_opts with domains = 4 });
+  Alcotest.(check string) "so do padder domains"
+    (key ~popts:Padder.default_opts Tiler.default_opts)
+    (key ~popts:{ Padder.default_opts with domains = 3 } Tiler.default_opts);
+  Alcotest.(check bool) "the fingerprint leads the key" true
+    (String.starts_with ~prefix:(fingerprint ^ "|") base)
+
 (* Save -> restart -> identical fitness, across every paper kernel: a
    fresh evaluation service backed only by the reloaded store must
    reproduce each candidate's objective bit-for-bit with zero fresh
@@ -714,6 +850,151 @@ let test_telemetry_end_to_end () =
   Alcotest.(check bool) "metrics socket unlinked" false (Sys.file_exists msock)
 
 (* ------------------------------------------------------------------ *)
+(* Final answers across a daemon restart                                *)
+
+let with_daemon ~store f =
+  let sock = temp_path ".sock" in
+  let cfg =
+    {
+      Server.default_config with
+      addr = Netio.Unix_sock sock;
+      store_path = Some store;
+      workers = 2;
+    }
+  in
+  let server = Thread.create (fun () -> Server.run cfg) () in
+  let rec await_socket tries =
+    if Sys.file_exists sock then ()
+    else if tries = 0 then Alcotest.fail "server never bound its socket"
+    else (
+      Thread.delay 0.05;
+      await_socket (tries - 1))
+  in
+  await_socket 100;
+  let client =
+    match Client.connect (Netio.Unix_sock sock) with
+    | Ok c -> c
+    | Error m -> Alcotest.failf "connect: %s" m
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try ignore (Client.call client ~meth:"shutdown" ~params:[]) with _ -> ());
+      Client.close client;
+      Thread.join server)
+    (fun () -> f client)
+
+(* The repeat of a [tile] and a [pad-tile] search, sent to a restarted
+   daemon on the same store file, is answered by one lookup: the outcome
+   is byte-identical to the cold reply, no GA generation runs, and a
+   traced repeat still decomposes its latency. *)
+let test_answers_across_restart () =
+  let store = temp_path ".store" in
+  Fun.protect ~finally:(fun () ->
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ store; store ^ ".lock" ])
+  @@ fun () ->
+  let tile =
+    [ ("kernel", Json.String "mm"); ("n", Json.Int 12); ("seed", Json.Int 11) ]
+  in
+  let searches = [ ("tile", tile); ("pad-tile", tile) ] in
+  let outcome r =
+    match get [ "outcome" ] r with
+    | Some o -> Json.to_string o
+    | None -> Alcotest.fail "no outcome in a search result"
+  in
+  let served r = get [ "served" ] r in
+  let cold =
+    with_daemon ~store (fun client ->
+        List.map
+          (fun (meth, params) ->
+            let r = call_ok client ~meth ~params in
+            Alcotest.(check bool) (meth ^ ": cold reply is a search") true
+              (served r = Some (Json.String "search"));
+            outcome r)
+          searches)
+  in
+  with_daemon ~store @@ fun client ->
+  List.iter2
+    (fun (meth, params) cold_text ->
+      let r = call_ok client ~meth ~params in
+      Alcotest.(check bool) (meth ^ ": repeat served from the answer") true
+        (served r = Some (Json.String "answer"));
+      Alcotest.(check string) (meth ^ ": outcome byte-identical") cold_text (outcome r))
+    searches cold;
+  (* a progress-streaming repeat: the final response, no GA events *)
+  let progress = ref [] in
+  let envelope =
+    match
+      Client.call client
+        ~on_progress:(fun ev -> progress := ev :: !progress)
+        ~meth:"tile"
+        ~params:(tile @ [ ("progress", Json.Bool true) ])
+    with
+    | Ok e -> e
+    | Error m -> Alcotest.failf "progress repeat: %s" m
+  in
+  (match Client.result_of_response envelope with
+  | Ok r ->
+      Alcotest.(check bool) "progress repeat served from the answer" true
+        (served r = Some (Json.String "answer"))
+  | Error e -> Alcotest.failf "progress repeat: %s" e.Protocol.message);
+  Alcotest.(check int) "no ga.generation events" 0
+    (List.length
+       (List.filter
+          (fun ev -> get [ "kind" ] ev = Some (Json.String "ga.generation"))
+          !progress));
+  (* traced repeats: queue + run still account for the total.  A
+     repeat takes tens of microseconds, where one preemption outside
+     both spans is 5%, so the median of nine must decompose. *)
+  let num path j =
+    match Option.bind (get path j) Json.to_float with
+    | Some v -> v
+    | None -> Alcotest.failf "missing %s" (String.concat "." path)
+  in
+  let span name nodes =
+    List.find_opt (fun s -> Json.member "name" s = Some (Json.String name)) nodes
+  in
+  let traced () =
+    let r = call_ok client ~meth:"tile" ~params:(tile @ [ ("trace", Json.Bool true) ]) in
+    Alcotest.(check string) "traced outcome byte-identical" (List.hd cold) (outcome r);
+    let trace = Option.get (get [ "trace" ] r) in
+    let spans = match get [ "spans" ] trace with Some (Json.List l) -> l | _ -> [] in
+    let dur name =
+      match span name spans with
+      | Some s -> num [ "dur_us" ] s
+      | None -> Alcotest.failf "span %s missing" name
+    in
+    let run_children =
+      match Option.bind (span "request.run" spans) (Json.member "children") with
+      | Some (Json.List l) -> l
+      | _ -> []
+    in
+    Alcotest.(check bool) "store.answer recorded under request.run" true
+      (span "store.answer" run_children <> None);
+    Alcotest.(check bool) "no search ran" true
+      (span "request.eval.stats" run_children = None);
+    (dur "request.queue" +. dur "request.run", num [ "total_us" ] trace)
+  in
+  let samples =
+    List.sort
+      (fun (a, t) (b, u) -> compare (a /. t) (b /. u))
+      (List.init 9 (fun _ -> traced ()))
+  in
+  let accounted, total_us = List.nth samples 4 in
+  Alcotest.(check bool)
+    (Printf.sprintf "median queue+run (%.0fus) within 5%% of total (%.0fus)" accounted
+       total_us)
+    true
+    (total_us > 0. && accounted >= 0.95 *. total_us && accounted <= 1.05 *. total_us);
+  let stats = call_ok client ~meth:"stats" ~params:[] in
+  Alcotest.(check int) "two answers stored" 2 (get_int [ "store"; "answers" ] stats);
+  Alcotest.(check int) "every repeat hit an answer" 12
+    (get_int [ "store"; "answer_hits" ] stats);
+  Alcotest.(check bool) "hits include the answer hits" true
+    (get_int [ "store"; "hits" ] stats >= 12)
+
+(* ------------------------------------------------------------------ *)
 (* Address parsing                                                      *)
 
 let test_addr_parsing () =
@@ -739,6 +1020,16 @@ let suite =
     Alcotest.test_case "store refuses foreign files" `Quick
       test_store_refuses_foreign_file;
     Alcotest.test_case "store compacts dead records" `Quick test_store_compaction;
+    Alcotest.test_case "store answer round-trips byte-for-byte" `Quick
+      test_store_answer_roundtrip;
+    Alcotest.test_case "store answer survives compaction" `Quick
+      test_store_answer_compaction;
+    Alcotest.test_case "store skips truncated answer lines" `Quick
+      test_store_answer_truncation;
+    Alcotest.test_case "store answer shared through refresh" `Quick
+      test_store_answer_shared;
+    Alcotest.test_case "answer key covers the search options" `Quick
+      test_answer_key_covers_options;
     Alcotest.test_case "memo save/restart/identical fitness on all 17 kernels"
       `Quick test_memo_roundtrip_all_kernels;
     Alcotest.test_case "scheduler backpressure and drain" `Quick
@@ -755,5 +1046,7 @@ let suite =
       test_scheduler_inflight;
     Alcotest.test_case "telemetry end-to-end: metrics, traces, progress" `Quick
       test_telemetry_end_to_end;
+    Alcotest.test_case "repeat tile/pad-tile answered from the store after a restart"
+      `Quick test_answers_across_restart;
     Alcotest.test_case "address parsing" `Quick test_addr_parsing;
   ]
